@@ -484,7 +484,7 @@ class ExponentTable:
 def exponent_table(rs: RootSystem, seq: ReducedSequence, level,
                    horizon: int) -> ExponentTable:
     level = Fraction(level)
-    if level <= -1:
+    if not level > -1:
         raise InvalidLevel(f"level {level} <= -1")
     g = rs.dual_coxeter
     shift = level + g

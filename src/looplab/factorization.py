@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum
 from .loops import (LaurentLoop, default_grid_size, evaluate, from_coeff_dict,
@@ -73,20 +74,6 @@ def log_det_AstarA(T: ToeplitzBlock) -> float:
     return float(2.0 * np.sum(np.log(s)))
 
 
-def _series_inverse(s: np.ndarray, order: int) -> np.ndarray:
-    """Inverse of a matrix power series s_0 + s_1 z + ... mod z^(order+1)."""
-    d = s.shape[1]
-    t = np.zeros((order + 1, d, d), dtype=complex)
-    t0 = np.linalg.inv(s[0])
-    t[0] = t0
-    for n in range(1, order + 1):
-        acc = np.zeros((d, d), dtype=complex)
-        for k in range(1, min(n, s.shape[0] - 1) + 1):
-            acc += s[k] @ t[n - k]
-        t[n] = -t0 @ acc
-    return t
-
-
 def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
     """Solve A(g) X = E0 for the (M+1) stacked 2x2 blocks of (g0 g_plus)^-1.
 
@@ -106,6 +93,17 @@ def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
     return X.reshape(M_eff + 1, d, d)[:M + 1]
 
 
+def _hardy_kappa_columns(g: LaurentLoop, M: int) -> np.ndarray:
+    """The Hardy columns X of g combined as X @ [H_11, -H_10] (H = X[0]), so
+    the value at z=0 has vanishing second component.  Shape (M+1, 2)."""
+    X = _solve_hardy_columns(g, M)
+    H = X[0]
+    kappa = np.array([H[1, 1], -H[1, 0]])
+    if np.abs(kappa).max() < 1e-300:
+        raise NotInTopStratum("degenerate constant block in Hardy solve")
+    return X @ kappa
+
+
 def birkhoff_factor(g: LaurentLoop, M: int, tol: float = 1e-8):
     """Riemann-Hilbert splitting g = g_minus * g0 * g_plus.
 
@@ -123,11 +121,13 @@ def birkhoff_factor(g: LaurentLoop, M: int, tol: float = 1e-8):
     if abs(np.linalg.det(h0)) < 1e-300:
         raise ConvergenceFailure("constant term of the Hardy solve is singular")
     g0 = np.linalg.inv(h0)
-    s = X @ g0           # s = h * g0, unit constant term
-    gp = _series_inverse(s, M)
-    g_plus = LaurentLoop(d, 0, M, gp)
-    h_loop = LaurentLoop(d, 0, M, X.copy())
-    gm_full = multiply(g, h_loop)
+    # g_plus = (h g0)^{-1}: one block lower-triangular Toeplitz solve, as the
+    # series s = h g0 has unit constant term
+    S = toeplitz(LaurentLoop(d, 0, M, X @ g0), M).matrix
+    gp = solve_triangular(S, np.eye(S.shape[0], d), lower=True,
+                          unit_diagonal=True)
+    g_plus = LaurentLoop(d, 0, M, gp.reshape(M + 1, d, d))
+    gm_full = multiply(g, LaurentLoop(d, 0, M, X.copy()))
     g_minus = gm_full.with_band(max(gm_full.n_min, -M), 0)
     res = _product_residual(g, g_minus, g0, g_plus)
     if not np.isfinite(res) or res > tol:

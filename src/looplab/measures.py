@@ -42,7 +42,7 @@ class MeasureSpec:
     source: str = "su2"
 
     def __post_init__(self):
-        if self.level <= -1.0:
+        if not self.level > -1.0:
             raise InvalidLevel(f"level {self.level} <= -1")
         for name in ("eta_exponents", "chi_rates", "zeta_exponents"):
             object.__setattr__(self, name,
@@ -53,7 +53,7 @@ class MeasureSpec:
 
     @classmethod
     def su2(cls, level: float, truncation: int) -> "MeasureSpec":
-        if level <= -1.0:
+        if not level > -1.0:
             raise InvalidLevel(f"level {level} <= -1")
         s = level + 2.0
         i = np.arange(truncation)

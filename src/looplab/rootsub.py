@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInput, InvalidLevel, NotInTopStratum
-from .factorization import _solve_hardy_columns
+from .factorization import _hardy_kappa_columns, _solve_hardy_columns
 from .loops import (LaurentLoop, default_grid_size, evaluate, fourier_project,
                     from_coeff_dict, identity_loop, multiply, star)
 
@@ -32,6 +32,9 @@ __all__ = [
     "coords_max_error",
 ]
 
+# the accuracy synthesis guarantees: torus_loop's aliasing tolerance
+_NOISE_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class RootCoordsSU2:
@@ -48,13 +51,16 @@ class RootCoordsSU2:
     zeta: np.ndarray
 
     def __post_init__(self):
-        if self.level <= -1.0:
+        if not self.level > -1.0:
             raise InvalidLevel(f"level {self.level} <= -1")
         if abs(complex(self.chi0).real) > 1e-12:
             raise InvalidInput("chi0 must be purely imaginary")
         for name in ("eta", "chi", "zeta"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=complex))
+        if not np.isfinite(np.concatenate(
+                [[self.chi0], self.eta, self.chi, self.zeta])).all():
+            raise InvalidInput("coordinates must be finite")
 
     @classmethod
     def zero(cls, level: float = 0.0, truncation: int = 0) -> "RootCoordsSU2":
@@ -120,7 +126,8 @@ def chi_values(chi0: complex, chi, thetas: np.ndarray) -> np.ndarray:
     return vals
 
 
-def torus_loop(chi0: complex, chi, band: int, alias_tol: float = 1e-9) -> LaurentLoop:
+def torus_loop(chi0: complex, chi, band: int,
+               alias_tol: float = _NOISE_FLOOR) -> LaurentLoop:
     """Diagonal loop diag(e^chi, e^-chi) projected to the given band.
 
     The exponential is not band-limited; the projection error is measured on
@@ -236,68 +243,47 @@ def random_coords(rng: np.random.Generator, level: float = 0.0,
 
 # -- coordinate recovery -----------------------------------------------------
 
-def _peel_zeta(w1: np.ndarray, w2: np.ndarray, n_max: int) -> np.ndarray:
-    """Strip zeta factors from the pair (w1, w2) ~ e^{-chi_+} (d2, -c2).
+def _peel(lead: np.ndarray, tail: np.ndarray, indices) -> np.ndarray:
+    """Strip root-subgroup factors from a pair of Hardy columns.
 
-    The z^k coefficient of c2/d2 at the innermost remaining index k is
-    exactly -conj(zeta_k); each extraction updates the pair by the inverse
-    factor (overall scalar prefactors are irrelevant).
+    The z^n coefficient of tail/lead at the innermost remaining index n is
+    the conjugate of that factor's coordinate; each extraction updates the
+    pair by the inverse factor (overall scalar prefactors are irrelevant).
     """
-    zeta = np.zeros(n_max, dtype=complex)
-    M = len(w1) - 1
-    for k in range(1, n_max + 1):
-        if abs(w1[0]) < 1e-300:
+    M = len(lead) - 1
+    coords = []
+    for n in indices:
+        if abs(lead[0]) < 1e-300:
             raise NotInTopStratum("vanishing leading coefficient during peel")
-        zbar = w2[k] / w1[0]
-        zeta[k - 1] = np.conj(zbar)
-        z = zeta[k - 1]
-        w2_old = w2.copy()
-        w2 = w2 - zbar * np.concatenate([np.zeros(k), w1[:M + 1 - k]])
-        w1 = w1 + z * np.concatenate([w2_old[k:], np.zeros(k)])
-    return zeta
+        cbar = tail[n] / lead[0]
+        coords.append(np.conj(cbar))
+        tail, lead = (tail - cbar * np.concatenate([np.zeros(n), lead[:M + 1 - n]]),
+                      lead + coords[-1] * np.concatenate([tail[n:], np.zeros(n)]))
+    return np.array(coords, dtype=complex)
 
 
-def _peel_eta(v1: np.ndarray, v2: np.ndarray, n_max: int) -> np.ndarray:
-    """Strip eta factors from the pair (v1, v2) ~ e^{-chi_+} (-b1, a1)."""
-    eta = np.zeros(n_max + 1, dtype=complex)
-    M = len(v1) - 1
-    for n in range(0, n_max + 1):
-        if abs(v2[0]) < 1e-300:
-            raise NotInTopStratum("vanishing leading coefficient during peel")
-        ebar = v1[n] / v2[0]
-        eta[n] = np.conj(ebar)
-        e = eta[n]
-        v1_old = v1.copy()
-        v1 = v1 - ebar * np.concatenate([np.zeros(n), v2[:M + 1 - n]])
-        v2 = v2 + e * np.concatenate([v1_old[n:], np.zeros(n)])
-    return eta
+def _above_floor(c: np.ndarray) -> np.ndarray:
+    """Zero the entries at or below the noise floor, then trim trailing zeros."""
+    return np.trim_zeros(np.where(np.abs(c) <= _NOISE_FLOOR, 0, c), "b")
 
 
 def _recover_once(g: LaurentLoop, level: float, M: int, n_max: int) -> RootCoordsSU2:
-    # zeta side: combine the two Hardy columns of g so the value at z=0 has
-    # vanishing second component -- that combination is proportional to
+    # zeta side: the kappa-combined Hardy columns of g are proportional to
     # e^{-chi_+} (d2, -c2)^T.
-    X = _solve_hardy_columns(g, M)
-    H = X[0]
-    kappa = np.array([H[1, 1], -H[1, 0]])
-    if np.abs(kappa).max() < 1e-300:
-        raise NotInTopStratum("degenerate constant block in Hardy solve")
-    w = X @ kappa                       # shape (M+1, 2)
-    zeta = _peel_zeta(w[:, 0], w[:, 1], n_max)
+    w = _hardy_kappa_columns(g, M)      # shape (M+1, 2)
+    zeta = _above_floor(_peel(w[:, 0], w[:, 1], range(1, n_max + 1)))
     # eta side: the second Hardy column of star(g) is already proportional
     # to e^{-chi_+} (-b1, a1)^T.
     Xs = _solve_hardy_columns(star(g), M)
-    eta = _peel_eta(Xs[:, 0, 1], Xs[:, 1, 1], n_max)
+    eta = _above_floor(_peel(Xs[:, 1, 1], Xs[:, 0, 1], range(n_max + 1)))
     # chi: conjugate g by the recovered unitary factors and read the diagonal
-    k1 = k1_synthesize(eta)
-    k2 = k2_synthesize(zeta)
-    t = multiply(multiply(k1, g), star(k2))
+    t = multiply(multiply(k1_synthesize(eta), g), star(k2_synthesize(zeta)))
     n_grid = default_grid_size(max(t.band_width, 2 * n_max + 1))
     diag = evaluate(t, n_grid)[:, 0, 0]
     ang = np.unwrap(np.angle(diag))
     spec = np.fft.fft(1j * ang) / n_grid
     chi0 = 1j * (float(np.mean(ang)) % (2 * np.pi))
-    chi = spec[1:n_max + 1]
+    chi = _above_floor(spec[1:n_max + 1])
     return RootCoordsSU2(level, eta, chi0, chi, zeta)
 
 
@@ -306,9 +292,15 @@ def recover_coords(g: LaurentLoop, l_hint: float = 0.0, tol: float = 1e-8,
     """Invert synthesize: peel (eta, chi, zeta) off a unitary-valued loop.
 
     Contract: for g = synthesize(c) with support <= 8 and moduli <= 0.5,
-    the result matches c to 1e-8 per coordinate.  Raises ConvergenceFailure
-    when the resynthesized loop misses g by more than tol on the grid.
+    the result matches c to 1e-8 per coordinate.  Coordinates of modulus at
+    or below the noise floor 1e-9, the accuracy synthesis guarantees, are
+    returned as zero and trailing zeros dropped: the arrays have the support
+    length of c.  Raises InvalidInput for a loop with non-finite coefficients
+    and ConvergenceFailure when the resynthesized loop misses g by more than
+    tol on the grid.
     """
+    if not np.isfinite(g.coeffs).all():
+        raise InvalidInput("loop has non-finite coefficients")
     if n_max is None:
         n_max = g.band_width
     if M is None:
@@ -331,6 +323,8 @@ def recover_eta0(g: LaurentLoop, M: int | None = None) -> complex:
 
     eta_0 = conj of the (1,2)/(2,2) ratio of the constant block.
     """
+    if not np.isfinite(g.coeffs).all():
+        raise InvalidInput("loop has non-finite coefficients")
     if M is None:
         M = max(g.band_width, 8)
     Xs = _solve_hardy_columns(star(g), M)
@@ -375,28 +369,22 @@ def k2_observables(zeta, band: int | None = None) -> K2Observables:
     zeta = np.asarray(zeta, dtype=complex)
     k2 = k2_synthesize(zeta, band)
     B = k2.band_width
-    c2 = np.array([k2.coeff(n)[1, 0] for n in range(B + 1)])
-    d2 = np.array([k2.coeff(n)[1, 1] for n in range(B + 1)])
+    c2, d2 = k2.with_band(0, B).coeffs[:, 1].T
     if abs(d2[0]) < 1e-12:
         raise NotInTopStratum("d2(0) vanishes")
     n_grid = default_grid_size(max(B, 1))
     z = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
     ratio = np.polyval(c2[::-1], z) / np.polyval(d2[::-1], z)
     Mx = max(B, 1)
-    # rows: q = 1..Q for each of the two conditions; unknowns xbar_1..xbar_Mx
-    Q = Mx + B + 1
-    A = np.zeros((2 * Q, Mx), dtype=complex)
-    rhs = np.zeros(2 * Q, dtype=complex)
+    # rows q = 1..Mx+B+1 per condition, unknowns xbar_1..xbar_Mx: entry c_{m-q}
+    q = np.arange(1, Mx + B + 2)
+    lag = np.arange(1, Mx + 1)[None, :] - q[:, None]
 
-    def coeff(series, idx):
-        return series[idx] if 0 <= idx <= B else 0.0
+    def coeff(series, idx, fill=0.0):
+        return np.where((idx >= 0) & (idx <= B), series[np.clip(idx, 0, B)], fill)
 
-    for q in range(1, Q + 1):
-        for m in range(1, Mx + 1):
-            A[q - 1, m - 1] = coeff(c2, m - q)
-            A[Q + q - 1, m - 1] = coeff(d2, m - q)
-        rhs[q - 1] = np.conj(coeff(d2, q))
-        rhs[Q + q - 1] = -np.conj(coeff(c2, q))
+    A = np.concatenate([coeff(c2, lag), coeff(d2, lag)])
+    rhs = np.concatenate([coeff(np.conj(d2), q), coeff(-np.conj(c2), q, -0.0)])
     xbar, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     ks = np.arange(1, len(zeta) + 1)
     log_a20_sq = float(np.sum(ks * np.log1p(np.abs(zeta) ** 2)))

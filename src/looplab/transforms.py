@@ -37,7 +37,7 @@ class TransformResult:
 
 
 def _check_level(l):
-    if l <= -1.0:
+    if not l > -1.0:
         raise InvalidLevel(f"level {l} <= -1")
 
 
@@ -91,6 +91,8 @@ def mc_diagonal_transform(spec: MeasureSpec, lam: float, n: int,
     """
     if not spec.source.startswith("su2"):
         raise InvalidInput("diagonal transform requires an su2 measure spec")
+    if n < 1:
+        raise InvalidInput("need at least one sample")
     if lam == 0.0:
         return TransformResult(1.0 + 0j, 0.0, n, spec.truncation, "mc")
     rng = np.random.default_rng([int(seed), 0x10f])
@@ -140,6 +142,8 @@ def general_sine_formula(rs, l: float, lam) -> complex:
 def finite_hc_check(lam: float, n: int, seed: int = 0) -> TransformResult:
     """Monte Carlo of a0^(-2 i lam) over Haar-random SU(2), a0 = |g_11|
     extracted through the 2x2 LDU; the exact value is 1/(1 - i lam)."""
+    if n < 1:
+        raise InvalidInput("need at least one sample")
     rng = np.random.default_rng([int(seed), 0x5c])
     vals = np.empty(n, dtype=complex)
     for m in range(n):

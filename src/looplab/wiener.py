@@ -16,7 +16,7 @@ from scipy import stats
 
 from .errors import (ConvergenceFailure, ExperimentDegenerate, InvalidInput,
                      LooplabError)
-from .factorization import _solve_hardy_columns, ldu_2x2
+from .factorization import _hardy_kappa_columns, _solve_hardy_columns, ldu_2x2
 from .loops import LaurentLoop, fourier_project, mobius_reparam, multiply
 from .measures import MeasureSpec, sample_coords
 from .rootsub import recover_eta0, synthesize
@@ -51,6 +51,8 @@ class WienerConfig:
             raise InvalidInput("beta must be positive")
         if self.steps < 8:
             raise InvalidInput("steps must be >= 8")
+        if self.n_samples < 1:
+            raise InvalidInput("n_samples must be >= 1")
 
     @property
     def band_eff(self) -> int:
@@ -192,10 +194,8 @@ def _observable(g: LaurentLoop, name: str, M: int) -> float:
     if name == "abs_eta0":
         return abs(recover_eta0(g, M=M))
     if name == "abs_zeta1":
-        X = _solve_hardy_columns(g, M)
-        H = X[0]
-        w = X @ np.array([H[1, 1], -H[1, 0]])
-        return abs(w[1, 1] / w[0, 0])
+        w = _hardy_kappa_columns(g, M)
+        return float(abs(w[1, 1] / w[0, 0]))
     raise InvalidInput(f"unknown observable {name!r}")
 
 

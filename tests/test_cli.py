@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import looplab
 from looplab import __version__
 from looplab.cli import run
 
@@ -143,3 +148,25 @@ def test_out_file(tmp_path, capsys):
     assert rc == 0
     text = path.read_text()
     assert text.startswith("# looplab")
+
+
+def test_reparam_rotation_abs_zeta1(capsys):
+    rc, out, _ = _run(capsys, ["reparam", "--mode", "rotation", "--n", "6",
+                               "--truncation", "6", "--observable",
+                               "abs_zeta1", "--seed", "2"])
+    assert rc == 0
+    assert json.loads(out)["max_per_sample_diff"] < 1e-9
+
+
+@pytest.mark.parametrize("module", ["looplab.cli", "looplab"])
+def test_module_entry_point_matches_run(capsys, module):
+    argv = ["affine", "--type", "A", "--rank", "1"]
+    rc, out, _ = _run(capsys, argv)
+    env = dict(os.environ)
+    src = str(Path(looplab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert out
+    assert (proc.returncode, proc.stdout) == (rc, out)

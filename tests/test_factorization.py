@@ -82,6 +82,24 @@ def test_birkhoff_normalizations_and_residual():
     assert np.abs(vals - evaluate(g, 129)).max() < 1e-8
 
 
+def test_birkhoff_g_plus_inverts_the_hardy_series():
+    c = RootCoordsSU2(1.0, np.array([0.3j, 0.0, 0.2]), 0.5j,
+                      np.array([0.0, 0.15 + 0.1j]), np.array([0.1, 0.0, 0.25]))
+    g = synthesize(c).trimmed(1e-14)
+    M = max(48, g.band_width)
+    _, g0, gp, _ = birkhoff_factor(g, M)
+    # the Hardy solve A(g) X = E0 gives h = (g0 g_plus)^{-1}; with s = h g0,
+    # s g_plus = I mod z^{M+1}
+    A = toeplitz(g, M).matrix
+    s = np.linalg.solve(A, np.eye(A.shape[0], 2)).reshape(M + 1, 2, 2) @ g0
+    gp_series = gp.with_band(0, M).coeffs
+    prod = np.array([sum(s[k] @ gp_series[n - k] for k in range(n + 1))
+                     for n in range(M + 1)])
+    expected = np.zeros_like(prod)
+    expected[0] = np.eye(2)
+    assert np.abs(prod - expected).max() < 1e-12
+
+
 def test_birkhoff_singular_raises():
     g = from_coeff_dict({1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])})
     with pytest.raises(ConvergenceFailure):

@@ -25,6 +25,11 @@ def test_invalid_level():
         MeasureSpec.su2(-1.0, 4)
 
 
+def test_nan_level_rejected():
+    with pytest.raises(InvalidLevel):
+        MeasureSpec.su2(float("nan"), 4)
+
+
 def test_nonintegrable_exponent_rejected():
     with pytest.raises(InvalidInput):
         MeasureSpec(level=0.0, truncation=1, eta_exponents=[2.0],

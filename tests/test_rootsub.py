@@ -4,8 +4,9 @@ import pytest
 from looplab.errors import InvalidInput, InvalidLevel, NotInTopStratum
 from looplab.factorization import log_det_AstarA, toeplitz
 from looplab.loops import evaluate, evaluate_at, identity_loop, multiply, unitarity_defect
-from looplab.rootsub import (RootCoordsSU2, chi_values, coords_max_error,
-                             k1_synthesize, k2_observables, k2_synthesize,
+from looplab.rootsub import (RootCoordsSU2, _above_floor, chi_values,
+                             coords_max_error, k1_synthesize, k2_observables,
+                             k2_synthesize,
                              log_product_formula, product_formula,
                              random_coords, recover_coords, recover_eta0,
                              synthesize, torus_loop)
@@ -100,6 +101,26 @@ def test_level_validated():
         coords(level=-1.0)
 
 
+def test_nan_eta_rejected():
+    with pytest.raises(InvalidInput):
+        coords(eta=[0.1, np.nan])
+
+
+def test_infinite_chi_rejected():
+    with pytest.raises(InvalidInput):
+        coords(chi=[np.inf])
+
+
+def test_nan_zeta_rejected():
+    with pytest.raises(InvalidInput):
+        coords(zeta=[complex(0.2, np.nan)])
+
+
+def test_nan_chi0_rejected():
+    with pytest.raises(InvalidInput):
+        coords(chi0=complex(0.0, np.nan))
+
+
 # ---- determinant product formulas --------------------------------------------
 
 def test_product_formula_zero_coords():
@@ -177,6 +198,51 @@ def test_recover_random_ensemble_member():
     assert coords_max_error(c, rec) < 1e-8
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 3.5])
+def test_recover_returns_exact_support(level):
+    for seed in range(4):
+        c = random_coords(np.random.default_rng([int(2 * level), seed]),
+                          level=level)
+        rec = recover_coords(synthesize(c).trimmed(1e-14), l_hint=level)
+        assert coords_max_error(c, rec) < 1e-8
+        for name in ("eta", "chi", "zeta"):
+            a, b = getattr(c, name), getattr(rec, name)
+            a = np.trim_zeros(a, "b")
+            # the nonzero pattern of the input, with no trailing zeros
+            assert len(b) == len(a) and (len(b) == 0 or b[-1] != 0)
+            np.testing.assert_array_equal(b != 0, a != 0)
+
+
+def test_recover_small_coordinate_above_noise_floor():
+    c = coords(eta=[0.2, 0.0, 1e-7j], chi=[0.1], zeta=[0.0, 1e-7])
+    rec = recover_coords(synthesize(c).trimmed(1e-14), l_hint=0.0)
+    assert abs(rec.eta[2] - 1e-7j) < 1e-8
+    assert abs(rec.zeta[1] - 1e-7) < 1e-8
+    assert coords_max_error(c, rec) < 1e-8
+
+
+def test_noise_floor_keeps_nan():
+    out = _above_floor(np.array([0.3, np.nan, 1e-12, 0.0], dtype=complex))
+    assert out[0] == 0.3 and np.isnan(out[1]) and len(out) == 2
+
+
+def _nan_loop():
+    c = synthesize(coords(eta=[0.3], zeta=[0.2]))
+    coeffs = c.coeffs.copy()
+    coeffs[0, 0, 1] = np.nan
+    return type(c)(c.dim, c.n_min, c.n_max, coeffs)
+
+
+def test_recover_coords_rejects_non_finite_loop():
+    with pytest.raises(InvalidInput):
+        recover_coords(_nan_loop())
+
+
+def test_recover_eta0_rejects_non_finite_loop():
+    with pytest.raises(InvalidInput):
+        recover_eta0(_nan_loop())
+
+
 def test_recover_eta0_fast_path():
     c = coords(eta=[0.37 - 0.21j, 0.1], chi=[0.08j], zeta=[0.2, 0.05])
     g = synthesize(c).trimmed(1e-14)
@@ -201,6 +267,35 @@ def test_k2_observables_single_factor_x():
     assert abs(obs.x_series[0] - np.conj(c) / (1 + abs(c) ** 2)) < 1e-9
     if obs.x_series.size > 1:
         assert np.abs(obs.x_series[1:]).max() < 1e-9
+
+
+@pytest.mark.parametrize("zeta", [[0.3, 0.1 + 0.05j], [0.0, 0.0, 0.4j],
+                                  [0.2, 0.0, 0.1 - 0.3j, 0.05], []])
+def test_k2_observables_matches_loop_reference(zeta):
+    # the least-squares system built entry by entry gives the same bits
+    zeta = np.asarray(zeta, dtype=complex)
+    k2 = k2_synthesize(zeta)
+    B = k2.band_width
+    c2 = np.array([k2.coeff(n)[1, 0] for n in range(B + 1)])
+    d2 = np.array([k2.coeff(n)[1, 1] for n in range(B + 1)])
+    Mx = max(B, 1)
+    Q = Mx + B + 1
+    A = np.zeros((2 * Q, Mx), dtype=complex)
+    rhs = np.zeros(2 * Q, dtype=complex)
+
+    def coeff(series, idx):
+        return series[idx] if 0 <= idx <= B else 0.0
+
+    for q in range(1, Q + 1):
+        for m in range(1, Mx + 1):
+            A[q - 1, m - 1] = coeff(c2, m - q)
+            A[Q + q - 1, m - 1] = coeff(d2, m - q)
+        rhs[q - 1] = np.conj(coeff(d2, q))
+        rhs[Q + q - 1] = -np.conj(coeff(c2, q))
+    xbar, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    ks = np.arange(1, len(zeta) + 1)
+    x = np.conj(xbar) * np.exp(-float(np.sum(ks * np.log1p(np.abs(zeta) ** 2))))
+    assert k2_observables(zeta).x_series.tobytes() == x.tobytes()
 
 
 def test_k2_observables_d2_zero_raises():

@@ -85,6 +85,11 @@ def test_mc_deterministic():
     assert a.value == b.value and a.stderr == b.stderr
 
 
+def test_mc_zero_samples_rejected():
+    with pytest.raises(InvalidInput):
+        mc_diagonal_transform(MeasureSpec.su2(0.0, 4), 1.0, 0)
+
+
 def test_mc_requires_su2_source():
     spec = MeasureSpec(level=0.0, truncation=2, eta_exponents=[2.0, 4.0],
                        chi_rates=[4.0, 8.0], zeta_exponents=[2.0, 4.0],
@@ -105,6 +110,11 @@ def test_finite_hc_check_matches_closed_form():
     for lam in (0.5, 1.0):
         res = finite_hc_check(lam, 40000, seed=3)
         assert abs(res.value - 1 / (1 - 1j * lam)) < 3 * res.stderr
+
+
+def test_finite_hc_zero_samples_rejected():
+    with pytest.raises(InvalidInput):
+        finite_hc_check(1.0, 0)
 
 
 def test_finite_hc_deterministic():

@@ -17,6 +17,13 @@ def test_config_validation():
         WienerConfig(beta=1.0, steps=4, n_samples=1)
 
 
+def test_eta0_experiment_zero_samples_rejected():
+    with pytest.raises(InvalidInput):
+        eta0_pushforward_experiment(
+            WienerConfig(beta=1.0, steps=32, n_samples=0, seed=2),
+            reference_level=0.0)
+
+
 def test_walk_closes_exactly():
     cfg = WienerConfig(beta=1.0, steps=64, n_samples=1, seed=11)
     pinned, _ = _pinned_walk(cfg, 0)
