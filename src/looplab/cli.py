@@ -192,7 +192,7 @@ def _cmd_identities(args) -> int:
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
         coords = random_coords(rng, level=args.level)
-        g = synthesize(coords).trimmed(1e-14)
+        g = synthesize(coords)
         M = max(args.m, g.band_width)
         ld = log_det_AstarA(toeplitz(g, M, shifted=False))
         ld1 = log_det_AstarA(toeplitz(g, M, shifted=True))
@@ -216,7 +216,7 @@ def _cmd_roundtrip(args) -> int:
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
         coords = random_coords(rng, level=args.level)
-        g = synthesize(coords).trimmed(1e-14)
+        g = synthesize(coords)
         rec = recover_coords(g, l_hint=args.level)
         err = coords_max_error(coords, rec)
         worst = max(worst, err)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import zgesv
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum
 from .loops import (LaurentLoop, default_grid_size, evaluate, from_coeff_dict,
@@ -54,7 +55,10 @@ def toeplitz(g: LaurentLoop, M: int, shifted: bool = False) -> ToeplitzBlock:
     rev[M - g.n_max:M - g.n_min + 1] = g.coeffs[::-1]      # rev[M - n] = c_n
     win = np.lib.stride_tricks.sliding_window_view(rev, M + 1, axis=0)
     A4 = win[M::-1]                        # (M+1, d, d, M+1): [j, a, b, k]
-    A = A4.transpose(0, 1, 3, 2).reshape(d * (M + 1), d * (M + 1))
+    # written straight into Fortran order, which LAPACK solves in place:
+    # A.T is C-ordered, with A.T[(k, b), (j, a)] = c_{j-k}[a, b]
+    A = np.empty((d * (M + 1),) * 2, dtype=complex, order="F")
+    A.T.reshape(M + 1, d, M + 1, d)[...] = A4.transpose(3, 2, 0, 1)
     if shifted:
         # drop the (mode 0, e_2) row and column (global index 1)
         keep = np.ones(A.shape[0], dtype=bool)
@@ -81,14 +85,14 @@ def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
     """
     d = g.dim
     A = toeplitz(g, max(M, g.band_width), shifted=False).matrix
-    E = np.zeros((A.shape[0], d), dtype=complex)
+    E = np.zeros((A.shape[0], d), dtype=complex, order="F")
     E[:d, :d] = np.eye(d)
-    try:
-        X = np.linalg.solve(A, E)
-    except np.linalg.LinAlgError as exc:
+    # LU in place: no copy of the matrix beside the one toeplitz built
+    _, _, X, info = zgesv(A, E, overwrite_a=True, overwrite_b=True)
+    if info != 0:
         raise ConvergenceFailure(
             "block Toeplitz truncation is singular (loop outside the top "
-            "stratum or nonzero winding)") from exc
+            "stratum or nonzero winding)")
     M_eff = A.shape[0] // d - 1
     return X.reshape(M_eff + 1, d, d)[:M + 1]
 

@@ -109,12 +109,8 @@ def from_coeff_dict(coeffs: dict, dim: int = 2) -> LaurentLoop:
 _ROW_CHUNK = 1024
 
 
-def multiply(g: LaurentLoop, h: LaurentLoop, band_cap: int | None = None) -> LaurentLoop:
-    """Pointwise product gh; coefficients are the convolution of the inputs.
-
-    If ``band_cap`` is given the result is truncated to [-band_cap, band_cap]
-    (used when synthesizing long products at fixed resolution).
-    """
+def multiply(g: LaurentLoop, h: LaurentLoop) -> LaurentLoop:
+    """Pointwise product gh; coefficients are the convolution of the inputs."""
     if g.dim != h.dim:
         raise InvalidInput(f"dimension mismatch: {g.dim} vs {h.dim}")
     d = g.dim
@@ -142,12 +138,7 @@ def multiply(g: LaurentLoop, h: LaurentLoop, band_cap: int | None = None) -> Lau
     else:
         for i in nz_g:
             out[i:i + h.coeffs.shape[0]] += g.coeffs[i] @ h.coeffs
-    res = LaurentLoop(d, n_min, n_max, out)
-    if band_cap is not None:
-        lo = max(n_min, -band_cap)
-        hi = min(n_max, band_cap)
-        res = res.with_band(lo, hi)
-    return res
+    return LaurentLoop(d, n_min, n_max, out)
 
 
 def star(g: LaurentLoop) -> LaurentLoop:

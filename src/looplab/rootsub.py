@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import ConvergenceFailure, InvalidInput, InvalidLevel, NotInTopStratum
 from .factorization import _hardy_kappa_columns, _solve_hardy_columns
@@ -32,8 +33,13 @@ __all__ = [
     "coords_max_error",
 ]
 
-# the accuracy synthesis guarantees: torus_loop's aliasing tolerance
+# recover_coords' floor on recovered coordinates; torus_loop's default
+# aliasing tolerance
 _NOISE_FLOOR = 1e-9
+# synthesize keeps the modes of its loop above this modulus
+_COEFF_FLOOR = 1e-14
+# largest grid synthesize evaluates a loop on
+_MAX_GRID = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,57 +79,41 @@ class RootCoordsSU2:
         return max(len(self.eta), len(self.chi), len(self.zeta))
 
 
-def _a(c: complex) -> float:
-    return 1.0 / np.sqrt(1.0 + abs(c) ** 2)
-
-
-def _k1_factor(n: int, eta_n: complex) -> LaurentLoop:
-    a = _a(eta_n)
+def _factor(n: int, c: complex) -> LaurentLoop:
+    """a [[1, -conj(c) z^n], [c z^-n, 1]] with a = (1 + |c|^2)^(-1/2): the
+    eta_n factor of k1 at c = eta_n, the zeta_k factor at n = -k, c = -conj(zeta_k)."""
+    a = 1.0 / np.sqrt(1.0 + abs(c) ** 2)
     if n == 0:
-        return from_coeff_dict({0: a * np.array([[1, -np.conj(eta_n)],
-                                                 [eta_n, 1]])})
+        return from_coeff_dict({0: a * np.array([[1, -np.conj(c)], [c, 1]])})
     return from_coeff_dict({0: a * np.eye(2),
-                            n: a * np.array([[0, -np.conj(eta_n)], [0, 0]]),
-                            -n: a * np.array([[0, 0], [eta_n, 0]])})
+                            n: a * np.array([[0, -np.conj(c)], [0, 0]]),
+                            -n: a * np.array([[0, 0], [c, 0]])})
 
 
-def _k2_factor(n: int, zeta_n: complex) -> LaurentLoop:
-    a = _a(zeta_n)
-    return from_coeff_dict({0: a * np.eye(2),
-                            -n: a * np.array([[0, zeta_n], [0, 0]]),
-                            n: a * np.array([[0, 0], [-np.conj(zeta_n), 0]])})
-
-
-def k1_synthesize(eta, band: int | None = None) -> LaurentLoop:
+def k1_synthesize(eta) -> LaurentLoop:
     """Ordered product of the eta factors, highest index leftmost."""
     eta = np.asarray(eta, dtype=complex)
     g = identity_loop(2)
-    for n in range(len(eta) - 1, -1, -1):
-        if eta[n] == 0:
-            continue
-        g = multiply(g, _k1_factor(n, eta[n]), band_cap=band)
+    for n in np.flatnonzero(eta)[::-1].tolist():
+        g = multiply(g, _factor(n, eta[n]))
     return g
 
 
-def k2_synthesize(zeta, band: int | None = None) -> LaurentLoop:
+def k2_synthesize(zeta) -> LaurentLoop:
     """Ordered product of the zeta factors (indices start at 1), highest leftmost."""
     zeta = np.asarray(zeta, dtype=complex)
     g = identity_loop(2)
-    for k in range(len(zeta), 0, -1):
-        if zeta[k - 1] == 0:
-            continue
-        g = multiply(g, _k2_factor(k, zeta[k - 1]), band_cap=band)
+    for k in (np.flatnonzero(zeta)[::-1] + 1).tolist():
+        g = multiply(g, _factor(-k, -np.conj(zeta[k - 1])))
     return g
 
 
-def chi_values(chi0: complex, chi, thetas: np.ndarray) -> np.ndarray:
-    """chi(theta) = chi0 + sum_j (chi_j e^{ij theta} - conj(chi_j) e^{-ij theta})."""
+def chi_values(chi0: complex, chi, n_grid: int) -> np.ndarray:
+    """chi(theta) = chi0 + sum_j (chi_j e^{ij theta} - conj(chi_j) e^{-ij theta})
+    at theta_k = 2 pi k / n_grid, k = 0..n_grid-1, by one inverse FFT."""
     chi = np.asarray(chi, dtype=complex)
-    vals = np.full(thetas.shape, complex(chi0), dtype=complex)
-    for j, cj in enumerate(chi, start=1):
-        e = np.exp(1j * j * thetas)
-        vals += cj * e - np.conj(cj) / e
-    return vals
+    c = np.concatenate([-np.conj(chi[::-1]), [chi0], chi]).reshape(-1, 1, 1)
+    return evaluate(LaurentLoop(1, -len(chi), len(chi), c), n_grid)[:, 0, 0]
 
 
 def torus_loop(chi0: complex, chi, band: int,
@@ -131,26 +121,20 @@ def torus_loop(chi0: complex, chi, band: int,
     """Diagonal loop diag(e^chi, e^-chi) projected to the given band.
 
     The exponential is not band-limited; the projection error is measured on
-    a staggered grid and ConvergenceFailure raised when it exceeds alias_tol.
+    a finer grid and ConvergenceFailure raised when it exceeds alias_tol.
     """
     if abs(complex(chi0).real) > 1e-12:
         raise InvalidInput("chi0 must be purely imaginary")
     n_grid = default_grid_size(band)
-    thetas = 2 * np.pi * np.arange(n_grid) / n_grid
-    cv = np.exp(chi_values(chi0, chi, thetas))
+    cv = np.exp(chi_values(chi0, chi, n_grid))
     samples = np.zeros((n_grid, 2, 2), dtype=complex)
     samples[:, 0, 0] = cv
     samples[:, 1, 1] = 1.0 / cv
     loop = fourier_project(samples, -band, band)
-    # staggered-grid aliasing probe: the loop at theta + pi/N is the grid
-    # transform of the coefficients c_n e^{i n pi/N}
-    th2 = thetas + np.pi / n_grid
-    direct = np.exp(chi_values(chi0, chi, th2))
-    ns = np.arange(-band, band + 1)
-    spec = np.zeros(n_grid, dtype=complex)
-    spec[ns % n_grid] = loop.coeffs[:, 0, 0] * np.exp(1j * np.pi / n_grid * ns)
-    recon = n_grid * np.fft.ifft(spec)
-    err = float(np.abs(recon - direct).max())
+    # aliasing probe on the doubled grid, whose odd points lie halfway
+    # between the points the projection saw
+    direct = np.exp(chi_values(chi0, chi, 2 * n_grid))
+    err = float(np.abs(evaluate(loop, 2 * n_grid)[:, 0, 0] - direct).max())
     if err > alias_tol:
         raise ConvergenceFailure(
             f"torus projection aliasing error {err:.2e} > {alias_tol:.1e}; "
@@ -158,38 +142,74 @@ def torus_loop(chi0: complex, chi, band: int,
     return loop
 
 
-def _torus_band(chi, band: int | None) -> int:
-    if band is not None:
-        return band
-    chi = np.asarray(chi)
-    jmax = len(np.trim_zeros(chi, "b"))
-    # the spectral width of e^chi is roughly the peak instantaneous
-    # frequency, bounded by the total slope of the phase
-    slope = float(np.sum(2 * np.arange(1, len(chi) + 1) * np.abs(chi)))
-    return max(16, 2 * jmax + 16, jmax + int(2 * slope) + 16)
+def _synth_values(coords: RootCoordsSU2, n_grid: int) -> np.ndarray:
+    """V[r, c, k] = (star(k1) diag(e^chi, e^-chi) k2)(z_k)[r, c] at the n_grid
+    roots of unity z_k.  Each factor a [[1, q], [p, 1]] is applied in closed
+    form as the column update V -> V [[1, q], [p, 1]]; the scalars a are
+    applied once, as one product."""
+    eta, zeta = coords.eta, coords.zeta
+    # w[j] = z_1^j for j <= L, so z_k^n = w[k n] and z_k^-n = w[L - k n]:
+    # strided views of one table
+    L = max(len(eta), len(zeta) + 1) * n_grid
+    w = np.empty(L + 1, dtype=complex)
+    w[:L].reshape(-1, n_grid)[...] = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
+    w[L] = 1.0
+    V = np.repeat(np.eye(2, dtype=complex)[:, :, None], n_grid, axis=2)
+    c0, c1, buf = V[:, 0], V[:, 1], np.empty((2, n_grid), dtype=complex)
+
+    def update(p, q):
+        np.multiply(c0, q, out=buf)
+        c0[...] += p * c1
+        c1[...] += buf
+
+    # star(k1) = F_0^* F_1^* ...,  F_n^* = a [[1, conj(eta) z^n], [-eta z^-n, 1]]
+    for n in np.flatnonzero(eta):
+        zn, zn_inv = (w[:n * n_grid:n], w[L:L - n * n_grid:-n]) if n else (1.0, 1.0)
+        update(-eta[n] * zn_inv, np.conj(eta[n]) * zn)
+    scale = np.prod(1.0 / np.sqrt(1.0 + np.abs(np.concatenate([eta, zeta])) ** 2))
+    ex = np.exp(chi_values(coords.chi0, coords.chi, n_grid))
+    c0 *= scale * ex
+    c1 *= scale / ex
+    # k2 = ... G_2 G_1,  G_k = a [[1, zeta z^-k], [-conj(zeta) z^k, 1]]
+    for k in np.flatnonzero(zeta)[::-1] + 1:
+        update(-np.conj(zeta[k - 1]) * w[:k * n_grid:k],
+               zeta[k - 1] * w[L:L - k * n_grid:-k])
+    return V
 
 
-def synthesize(coords: RootCoordsSU2, band: int | None = None) -> LaurentLoop:
-    """g = star(k1) * diag(e^chi, e^-chi) * k2.
+def _band_bound(coords: RootCoordsSU2) -> int:
+    """A band past which the coefficients of synthesize(coords) are about
+    _COEFF_FLOOR or less.  star(k1) k2 reaches at most the top eta index plus
+    the top zeta index (the factors' off-diagonal parts are nilpotent, so the
+    modes of their products alternate in sign).  For e^chi, the Cauchy
+    estimate on |z| = e^t bounds |c_m| by exp(S(t) - m t), where
+    S(t) = sum_j 2 |chi_j| sinh(j t) bounds Re chi."""
+    poly = (np.flatnonzero(coords.eta).max(initial=0)
+            + np.flatnonzero(coords.zeta).max(initial=-1) + 1)
+    nz = np.flatnonzero(coords.chi)
+    t = np.geomspace(1e-3, 4.0, 64)
+    with np.errstate(over="ignore"):
+        S = 2 * np.sinh(np.outer(t, nz + 1)) @ np.abs(coords.chi[nz])
+    return int(poly + np.ceil(np.min((S - np.log(_COEFF_FLOOR)) / t)))
 
-    With band=None the polynomial factors are kept exact and only the torus
-    loop is truncated (at an automatically grown band); otherwise every
-    partial product is capped at the given band.
+
+def synthesize(coords: RootCoordsSU2) -> LaurentLoop:
+    """g = star(k1) * diag(e^chi, e^-chi) * k2 from its values on a grid.
+
+    The loop is evaluated at N roots of unity, N from the band bound, and
+    transformed once.  N doubles until every coefficient of a mode |m| > N/4
+    is at most _COEFF_FLOOR; the loop is returned cut to the modes above it.
+    Raises ConvergenceFailure when that needs more than _MAX_GRID points.
     """
-    # the torus factor first: it is the step that can fail for a given band
-    tb = _torus_band(coords.chi, band)
-    for attempt in range(4):
-        try:
-            t = torus_loop(coords.chi0, coords.chi, tb)
-            break
-        except ConvergenceFailure:
-            if band is not None or attempt == 3:
-                raise
-            tb *= 2
-    k1 = k1_synthesize(coords.eta, band)
-    k2 = k2_synthesize(coords.zeta, band)
-    g = multiply(star(k1), t, band_cap=band)
-    return multiply(g, k2, band_cap=band)
+    n_grid = next_fast_len(4 * _band_bound(coords))
+    while n_grid <= _MAX_GRID:
+        spec = np.fft.fft(_synth_values(coords, n_grid).reshape(4, n_grid)).T / n_grid
+        q = n_grid // 4
+        if np.abs(spec[q + 1:n_grid - q]).max(initial=0.0) <= _COEFF_FLOOR:
+            coeffs = spec[np.arange(-q, q + 1) % n_grid].reshape(-1, 2, 2)
+            return LaurentLoop(2, -q, q, coeffs).trimmed(_COEFF_FLOOR)
+        n_grid = next_fast_len(2 * n_grid)
+    raise ConvergenceFailure(f"synthesized loop not resolved on {_MAX_GRID} points")
 
 
 def log_product_formula(coords: RootCoordsSU2, which: str) -> float:
@@ -293,9 +313,8 @@ def recover_coords(g: LaurentLoop, l_hint: float = 0.0, tol: float = 1e-8,
 
     Contract: for g = synthesize(c) with support <= 8 and moduli <= 0.5,
     the result matches c to 1e-8 per coordinate.  Coordinates of modulus at
-    or below the noise floor 1e-9, the accuracy synthesis guarantees, are
-    returned as zero and trailing zeros dropped: the arrays have the support
-    length of c.  Raises InvalidInput for a loop with non-finite coefficients
+    or below the noise floor 1e-9 are returned as zero and trailing zeros
+    dropped: the arrays have the support length of c.  Raises InvalidInput for a loop with non-finite coefficients
     and ConvergenceFailure when the resynthesized loop misses g by more than
     tol on the grid.
     """
@@ -359,7 +378,7 @@ class K2Observables:
     n_grid: int
 
 
-def k2_observables(zeta, band: int | None = None) -> K2Observables:
+def k2_observables(zeta) -> K2Observables:
     """The holomorphic data attached to k2: X and grid samples of c2/d2.
 
     c2, d2 are the bottom-row entries of k2 (power series in z; c2(0) = 0).
@@ -367,7 +386,9 @@ def k2_observables(zeta, band: int | None = None) -> K2Observables:
     P_-(d2^* - x^* c2) = 0, P_-(-c2^* - x^* d2) = 0, and X = x / prod(1+|zeta_k|^2)^k.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    k2 = k2_synthesize(zeta, band)
+    if not np.isfinite(zeta).all():
+        raise InvalidInput("zeta must be finite")
+    k2 = k2_synthesize(zeta)
     B = k2.band_width
     c2, d2 = k2.with_band(0, B).coeffs[:, 1].T
     if abs(d2[0]) < 1e-12:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import (ConvergenceFailure, ExperimentDegenerate, InvalidInput,
-                     LooplabError)
+from .errors import ExperimentDegenerate, InvalidInput, LooplabError
 from .factorization import _hardy_kappa_columns, _solve_hardy_columns, ldu_2x2
 from .loops import LaurentLoop, fourier_project, mobius_reparam, multiply
 from .measures import MeasureSpec, sample_coords
@@ -156,7 +155,7 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
         try:
             if reference_level is not None:
                 coords = sample_coords(spec, np.random.default_rng(int(seeds[i])))
-                g = synthesize(coords).trimmed(1e-14)
+                g = synthesize(coords)
                 eta0 = recover_eta0(g, M=max(g.band_width, 16))
             else:
                 g, _ = sample_brownian_loop(cfg, i)
@@ -208,23 +207,8 @@ class InvarianceReport:
     max_per_sample_diff: float
 
 
-def _default_band(spec: MeasureSpec) -> int:
-    # wide enough for the torus factor (band 2*jmax + margin) at typical draws
-    return 2 * spec.truncation + 16
-
-
-def _synth_capped(coords, band: int):
-    """Band-capped synthesis, widening the cap when the torus factor needs it."""
-    for b in (band, 2 * band, 4 * band):
-        try:
-            return synthesize(coords, band=b).trimmed(1e-14)
-        except ConvergenceFailure:
-            continue
-    raise ConvergenceFailure(f"torus factor does not fit a band of {4 * band}")
-
-
 def _paired_experiment(spec: MeasureSpec, transform, observable: str, n: int,
-                       seed: int, band: int, spec_b: MeasureSpec | None = None):
+                       seed: int, spec_b: MeasureSpec | None = None):
     """Common harness: observable distribution of {g} vs {transform(g)}.
 
     With spec_b set, the second stream is instead sampled from spec_b and
@@ -232,18 +216,20 @@ def _paired_experiment(spec: MeasureSpec, transform, observable: str, n: int,
     """
     if observable not in _OBSERVABLES:
         raise InvalidInput(f"unknown observable {observable!r}")
+    if n < 1:
+        raise InvalidInput("need at least one sample")
     obs_a, obs_b = [], []
     failures = 0
     diff = 0.0
     for i in range(n):
         rng = np.random.default_rng([int(seed), i])
         try:
-            g = _synth_capped(sample_coords(spec, rng), band)
+            g = synthesize(sample_coords(spec, rng))
             M = g.band_width + 4
             va = _observable(g, observable, M)
             if spec_b is not None:
                 rng_b = np.random.default_rng([int(seed), i, 1])
-                h = _synth_capped(sample_coords(spec_b, rng_b), band)
+                h = synthesize(sample_coords(spec_b, rng_b))
                 vb = _observable(h, observable, h.band_width + 4)
             else:
                 g2 = transform(g)
@@ -268,34 +254,28 @@ def _paired_experiment(spec: MeasureSpec, transform, observable: str, n: int,
 
 def invariance_experiment(spec: MeasureSpec, h: LaurentLoop | None,
                           observable: str, n: int, seed: int = 0,
-                          band: int | None = None,
                           spec_b: MeasureSpec | None = None) -> InvarianceReport:
     """Left-translation invariance check: observable law of g vs h*g.
 
     Passing spec_b (and h=None) runs the power control instead: stream two
     is sampled from the second measure and must be distinguishable.
     """
-    band = band if band is not None else _default_band(spec)
-
     def transform(g):
         # exact: no truncation, the product band is the sum of the factors'
         return multiply(h, g)
 
     if spec_b is not None:
-        return _paired_experiment(spec, None, observable, n, seed, band,
-                                  spec_b=spec_b)
+        return _paired_experiment(spec, None, observable, n, seed, spec_b=spec_b)
     if h is None:
         raise InvalidInput("need a translating loop h (or spec_b)")
-    return _paired_experiment(spec, transform, observable, n, seed, band)
+    return _paired_experiment(spec, transform, observable, n, seed)
 
 
 def reparam_invariance_experiment(spec: MeasureSpec, a: complex, b: complex,
-                                  observable: str, n: int, seed: int = 0,
-                                  band: int | None = None) -> InvarianceReport:
+                                  observable: str, n: int,
+                                  seed: int = 0) -> InvarianceReport:
     """Mobius reparameterization invariance check: law of g vs g o sigma^-1."""
-    band = band if band is not None else _default_band(spec)
-
     def transform(g):
         return mobius_reparam(g, a, b, band_out=g.band_width)
 
-    return _paired_experiment(spec, transform, observable, n, seed, band)
+    return _paired_experiment(spec, transform, observable, n, seed)

@@ -46,7 +46,7 @@ def ensemble():
         level = LEVELS[trial % 3]
         rng = np.random.default_rng([7, trial])
         c = random_coords(rng, level=level)
-        out.append((c, synthesize(c).trimmed(1e-14)))
+        out.append((c, synthesize(c)))
     return out
 
 

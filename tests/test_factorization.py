@@ -71,7 +71,7 @@ def test_birkhoff_constant_loop():
 def test_birkhoff_normalizations_and_residual():
     c = RootCoordsSU2(0.0, np.array([0.2 + 0.1j, 0.05]), 0.3j,
                       np.array([0.1 - 0.02j]), np.array([0.25j]))
-    g = synthesize(c).trimmed(1e-14)
+    g = synthesize(c)
     gm, g0, gp, res = birkhoff_factor(g, 48)
     assert res < 1e-8
     # g_plus(0) = I and g_minus(inf) = I
@@ -85,7 +85,7 @@ def test_birkhoff_normalizations_and_residual():
 def test_birkhoff_g_plus_inverts_the_hardy_series():
     c = RootCoordsSU2(1.0, np.array([0.3j, 0.0, 0.2]), 0.5j,
                       np.array([0.0, 0.15 + 0.1j]), np.array([0.1, 0.0, 0.25]))
-    g = synthesize(c).trimmed(1e-14)
+    g = synthesize(c)
     M = max(48, g.band_width)
     _, g0, gp, _ = birkhoff_factor(g, M)
     # the Hardy solve A(g) X = E0 gives h = (g0 g_plus)^{-1}; with s = h g0,
@@ -123,7 +123,7 @@ def test_ldu_not_in_top_stratum():
 
 def test_triangular_factor_matches_det_route():
     c = RootCoordsSU2(1.0, np.array([0.3]), 0j, E, np.array([0.2 - 0.1j]))
-    g = synthesize(c).trimmed(1e-14)
+    g = synthesize(c)
     M = max(48, g.band_width)
     tf = triangular_factor(g, M)
     assert abs(tf.a0 - a0_from_dets(g, M)) < 1e-6

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from looplab.errors import InvalidInput, InvalidLevel, NotInTopStratum
-from looplab.factorization import log_det_AstarA, toeplitz
-from looplab.loops import evaluate, evaluate_at, identity_loop, multiply, unitarity_defect
+from looplab.factorization import a0_from_dets, log_det_AstarA, toeplitz
+from looplab.loops import (default_grid_size, evaluate, evaluate_at,
+                           identity_loop, multiply, star, unitarity_defect)
+from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import (RootCoordsSU2, _above_floor, chi_values,
                              coords_max_error, k1_synthesize, k2_observables,
                              k2_synthesize,
@@ -71,11 +75,29 @@ def test_torus_trivial_and_quarter_turn():
     np.testing.assert_allclose(t.coeff(0), np.diag([1j, -1j]), atol=1e-12)
 
 
+def _chi_direct(chi0, chi, thetas):
+    # chi(theta) summed term by term: the reference for chi_values
+    vals = np.full(thetas.shape, complex(chi0), dtype=complex)
+    for j, cj in enumerate(chi, start=1):
+        e = np.exp(1j * j * thetas)
+        vals += cj * e - np.conj(cj) / e
+    return vals
+
+
+@pytest.mark.parametrize("n_grid", [7, 64, 301])
+def test_chi_values_matches_direct_sum(n_grid):
+    # n_grid = 7 < 2 * 9 + 1: modes alias onto one slot and must still add up
+    chi = np.array([1, 1j]) @ np.random.default_rng(5).standard_normal((2, 9))
+    th = 2 * np.pi * np.arange(n_grid) / n_grid
+    got = chi_values(0.4j, chi, n_grid)
+    assert np.abs(got - _chi_direct(0.4j, chi, th)).max() < 1e-13
+
+
 def test_torus_matches_direct_exponential():
     t = torus_loop(0j, np.array([0.1 + 0j]), band=16)
     th = np.linspace(0.0, 2 * np.pi, 37)
     vals = evaluate_at(t, np.exp(1j * th))
-    direct = np.exp(chi_values(0j, np.array([0.1 + 0j]), th))
+    direct = np.exp(_chi_direct(0j, np.array([0.1 + 0j]), th))
     assert np.abs(vals[:, 0, 0] - direct).max() < 1e-12
     assert np.abs(vals[:, 1, 1] - 1 / direct).max() < 1e-12
 
@@ -94,6 +116,45 @@ def test_synthesize_zero_is_identity():
 def test_synthesize_unitary():
     c = coords(eta=[0.2, 0.1j], chi=[0.05], zeta=[0.1, 0.2j])
     assert unitarity_defect(synthesize(c)) < 1e-9
+
+
+def _exact_synthesis(c):
+    """star(k1) e^chi k2 from exact coefficient products, with the torus
+    factor projected to a band far past its 1e-14 tail."""
+    slope = float(np.sum(2 * np.arange(1, len(c.chi) + 1) * np.abs(c.chi)))
+    t = torus_loop(c.chi0, c.chi, 4 * len(c.chi) + int(8 * slope) + 64,
+                   alias_tol=1e-13)
+    return multiply(multiply(star(k1_synthesize(c.eta)), t),
+                    k2_synthesize(c.zeta))
+
+
+def _draws(kind, n):
+    if kind == "sparse":
+        return [random_coords(np.random.default_rng([11, i]), level=1.0)
+                for i in range(n)]
+    spec = MeasureSpec.su2(0.0, kind)
+    return [sample_coords(spec, np.random.default_rng([13, kind, i]))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("kind,n", [("sparse", 8), (12, 4), (24, 3)])
+def test_synthesize_matches_exact_products(kind, n):
+    for c in _draws(kind, n):
+        g, ref = synthesize(c), _exact_synthesis(c)
+        n_grid = default_grid_size(max(g.band_width, ref.band_width))
+        assert np.abs(evaluate(g, n_grid) - evaluate(ref, n_grid)).max() <= 1e-12
+        assert unitarity_defect(g) <= 1e-12
+        # cut to the modes above 1e-14
+        assert g.n_min == 0 or np.abs(g.coeffs[0]).max() > 1e-14
+        assert g.n_max == 0 or np.abs(g.coeffs[-1]).max() > 1e-14
+
+
+@pytest.mark.parametrize("truncation", [12, 24])
+def test_synthesize_a0_matches_product_formula(truncation):
+    for c in _draws(truncation, 2):
+        g = synthesize(c)
+        a0 = np.exp(0.5 * log_product_formula(c, "a0sq"))
+        assert abs(a0_from_dets(g, g.band_width) - a0) <= 1e-10
 
 
 def test_level_validated():
@@ -157,7 +218,7 @@ def test_product_formula_unknown_selector():
 ])
 def test_product_formula_against_determinants(kw):
     c = coords(**kw)
-    g = synthesize(c).trimmed(1e-14)
+    g = synthesize(c)
     M = max(64, g.band_width)
     ld = log_det_AstarA(toeplitz(g, M))
     ld1 = log_det_AstarA(toeplitz(g, M, shifted=True))
@@ -180,20 +241,20 @@ def test_recover_single_zeta():
 
 def test_recover_mixed_triple():
     c = coords(eta=[0.2], chi=[0.1j], zeta=[0.3])
-    rec = recover_coords(synthesize(c).trimmed(1e-14), l_hint=0.0)
+    rec = recover_coords(synthesize(c), l_hint=0.0)
     assert coords_max_error(c, rec) < 1e-8
 
 
 def test_recover_with_chi0():
     c = coords(eta=[0.1, 0.2j], chi0=2.1j, chi=[0.05 - 0.02j], zeta=[0.15])
-    rec = recover_coords(synthesize(c).trimmed(1e-14), l_hint=0.0)
+    rec = recover_coords(synthesize(c), l_hint=0.0)
     assert coords_max_error(c, rec) < 1e-8
 
 
 def test_recover_random_ensemble_member():
     rng = np.random.default_rng(42)
     c = random_coords(rng, level=1.0)
-    g = synthesize(c).trimmed(1e-14)
+    g = synthesize(c)
     rec = recover_coords(g, l_hint=1.0)
     assert coords_max_error(c, rec) < 1e-8
 
@@ -203,7 +264,7 @@ def test_recover_returns_exact_support(level):
     for seed in range(4):
         c = random_coords(np.random.default_rng([int(2 * level), seed]),
                           level=level)
-        rec = recover_coords(synthesize(c).trimmed(1e-14), l_hint=level)
+        rec = recover_coords(synthesize(c), l_hint=level)
         assert coords_max_error(c, rec) < 1e-8
         for name in ("eta", "chi", "zeta"):
             a, b = getattr(c, name), getattr(rec, name)
@@ -215,7 +276,7 @@ def test_recover_returns_exact_support(level):
 
 def test_recover_small_coordinate_above_noise_floor():
     c = coords(eta=[0.2, 0.0, 1e-7j], chi=[0.1], zeta=[0.0, 1e-7])
-    rec = recover_coords(synthesize(c).trimmed(1e-14), l_hint=0.0)
+    rec = recover_coords(synthesize(c), l_hint=0.0)
     assert abs(rec.eta[2] - 1e-7j) < 1e-8
     assert abs(rec.zeta[1] - 1e-7) < 1e-8
     assert coords_max_error(c, rec) < 1e-8
@@ -245,7 +306,7 @@ def test_recover_eta0_rejects_non_finite_loop():
 
 def test_recover_eta0_fast_path():
     c = coords(eta=[0.37 - 0.21j, 0.1], chi=[0.08j], zeta=[0.2, 0.05])
-    g = synthesize(c).trimmed(1e-14)
+    g = synthesize(c)
     e0 = recover_eta0(g, M=max(g.band_width, 16))
     assert abs(e0 - c.eta[0]) < 1e-9
 
@@ -253,7 +314,7 @@ def test_recover_eta0_fast_path():
 # ---- k2 observables ----------------------------------------------------------
 
 def test_k2_observables_ratio_vanishes_at_zero():
-    obs = k2_observables(np.array([0.3, 0.1 + 0.05j]), band=16)
+    obs = k2_observables(np.array([0.3, 0.1 + 0.05j]))
     # c2/d2 is a power series in z with no constant term: mean over the
     # grid of samples approximates the value at 0
     assert abs(np.mean(obs.ratio_samples)) < 1e-9
@@ -263,7 +324,7 @@ def test_k2_observables_single_factor_x():
     # one factor: the defining conditions force x = conj(zeta_1) z, so the
     # z^1 coefficient of X is conj(zeta_1)/(1+|zeta_1|^2)
     c = 0.3 - 0.1j
-    obs = k2_observables(np.array([c]), band=8)
+    obs = k2_observables(np.array([c]))
     assert abs(obs.x_series[0] - np.conj(c) / (1 + abs(c) ** 2)) < 1e-9
     if obs.x_series.size > 1:
         assert np.abs(obs.x_series[1:]).max() < 1e-9
@@ -299,6 +360,14 @@ def test_k2_observables_matches_loop_reference(zeta):
 
 
 def test_k2_observables_d2_zero_raises():
-    # a(zeta) -> 0 as |zeta| -> inf, which collapses d2(0)
+    # a(zeta) -> 0 as |zeta| -> inf, which collapses d2(0) = a(zeta)
     with pytest.raises(NotInTopStratum):
-        k2_observables(np.array([np.inf]), band=4)
+        k2_observables(np.array([1e150]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.1, -np.inf)])
+def test_k2_observables_rejects_non_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            k2_observables(np.array([0.2, bad]))

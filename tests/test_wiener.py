@@ -111,6 +111,28 @@ def test_power_control_rejects():
     assert rep.pvalue < 0.01
 
 
+def test_invariance_zero_samples_rejected():
+    h = from_coeff_dict({0: np.eye(2)})
+    with pytest.raises(InvalidInput):
+        invariance_experiment(MeasureSpec.su2(0.0, 4), h, "a0", 0)
+
+
+def test_reparam_zero_samples_rejected():
+    with pytest.raises(InvalidInput):
+        reparam_invariance_experiment(MeasureSpec.su2(0.0, 4), np.exp(0.35j),
+                                      0.0, "a0", 0)
+
+
+def test_steep_chi_draw_is_kept():
+    # this pair of truncation-24 draws holds one whose torus factor needs a
+    # band above 256; a band-capped synthesis dropped it as failed
+    s = int(np.random.SeedSequence([23, 30, 0]).generate_state(1)[0])
+    c, sn = np.cos(0.8), np.sin(0.8)
+    h = from_coeff_dict({0: np.array([[c, sn], [-sn, c]], dtype=complex)})
+    rep = invariance_experiment(MeasureSpec.su2(0.0, 24), h, "a0", 2, seed=s)
+    assert rep.n_effective == 2 and rep.failure_rate == 0.0
+
+
 def test_unknown_observable():
     spec = MeasureSpec.su2(0.0, 4)
     h = from_coeff_dict({0: np.eye(2)})
