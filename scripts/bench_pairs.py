@@ -1,6 +1,6 @@
 """Benchmark a parent revision against the working tree in alternating pairs.
 
-    python3 scripts/bench_pairs.py --parent HEAD --out BENCH_n.json [--seed 613] [--pairs 10]
+    python3 scripts/bench_pairs.py --parent HEAD --out BENCH_n.json [--seed 613]
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory (a plain copy: nothing is registered in the repository,
@@ -30,6 +30,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# alternating pairs per workload: the fewest that can support a gain claim
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -94,7 +96,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="revision to compare against")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--seed", type=int, default=613)
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
     seconds = int(bench["run_seconds"])
     parent_sha = _git("rev-parse", args.parent)
     report = {"parent": parent_sha, "change": f"working tree on {_git('rev-parse', 'HEAD')}",
-              "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
+              "seed": args.seed, "seconds": seconds, "pairs": PAIRS,
               "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
         trees = {"parent": parent_tree, "change": ROOT}
         for name in names:
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     res = run_once(trees[side], name, args.seed, seconds, 0)

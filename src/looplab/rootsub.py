@@ -148,12 +148,9 @@ def _synth_values(coords: RootCoordsSU2, n_grid: int) -> np.ndarray:
     form as the column update V -> V [[1, q], [p, 1]]; the scalars a are
     applied once, as one product."""
     eta, zeta = coords.eta, coords.zeta
-    # w[j] = z_1^j for j <= L, so z_k^n = w[k n] and z_k^-n = w[L - k n]:
-    # strided views of one table
-    L = max(len(eta), len(zeta) + 1) * n_grid
-    w = np.empty(L + 1, dtype=complex)
-    w[:L].reshape(-1, n_grid)[...] = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
-    w[L] = 1.0
+    # z_k^n = w[n k mod N] and z_k^-n = w[-(n k mod N)]: gathers from one table
+    k = np.arange(n_grid)
+    w = np.exp(2j * np.pi * k / n_grid)
     V = np.repeat(np.eye(2, dtype=complex)[:, :, None], n_grid, axis=2)
     c0, c1, buf = V[:, 0], V[:, 1], np.empty((2, n_grid), dtype=complex)
 
@@ -164,20 +161,20 @@ def _synth_values(coords: RootCoordsSU2, n_grid: int) -> np.ndarray:
 
     # star(k1) = F_0^* F_1^* ...,  F_n^* = a [[1, conj(eta) z^n], [-eta z^-n, 1]]
     for n in np.flatnonzero(eta):
-        zn, zn_inv = (w[:n * n_grid:n], w[L:L - n * n_grid:-n]) if n else (1.0, 1.0)
-        update(-eta[n] * zn_inv, np.conj(eta[n]) * zn)
+        idx = n * k % n_grid
+        update(-eta[n] * w[-idx], np.conj(eta[n]) * w[idx])
     scale = np.prod(1.0 / np.sqrt(1.0 + np.abs(np.concatenate([eta, zeta])) ** 2))
     ex = np.exp(chi_values(coords.chi0, coords.chi, n_grid))
     c0 *= scale * ex
     c1 *= scale / ex
     # k2 = ... G_2 G_1,  G_k = a [[1, zeta z^-k], [-conj(zeta) z^k, 1]]
-    for k in np.flatnonzero(zeta)[::-1] + 1:
-        update(-np.conj(zeta[k - 1]) * w[:k * n_grid:k],
-               zeta[k - 1] * w[L:L - k * n_grid:-k])
+    for n in np.flatnonzero(zeta)[::-1] + 1:
+        idx = n * k % n_grid
+        update(-np.conj(zeta[n - 1]) * w[idx], zeta[n - 1] * w[-idx])
     return V
 
 
-def _band_bound(coords: RootCoordsSU2) -> int:
+def _band_bound(coords: RootCoordsSU2) -> float:
     """A band past which the coefficients of synthesize(coords) are about
     _COEFF_FLOOR or less.  star(k1) k2 reaches at most the top eta index plus
     the top zeta index (the factors' off-diagonal parts are nilpotent, so the
@@ -190,7 +187,7 @@ def _band_bound(coords: RootCoordsSU2) -> int:
     t = np.geomspace(1e-3, 4.0, 64)
     with np.errstate(over="ignore"):
         S = 2 * np.sinh(np.outer(t, nz + 1)) @ np.abs(coords.chi[nz])
-    return int(poly + np.ceil(np.min((S - np.log(_COEFF_FLOOR)) / t)))
+        return float(poly + np.ceil(np.min((S - np.log(_COEFF_FLOOR)) / t)))
 
 
 def synthesize(coords: RootCoordsSU2) -> LaurentLoop:
@@ -201,7 +198,11 @@ def synthesize(coords: RootCoordsSU2) -> LaurentLoop:
     is at most _COEFF_FLOOR; the loop is returned cut to the modes above it.
     Raises ConvergenceFailure when that needs more than _MAX_GRID points.
     """
-    n_grid = next_fast_len(4 * _band_bound(coords))
+    bound = 4 * _band_bound(coords)
+    if not bound <= _MAX_GRID:
+        raise ConvergenceFailure(
+            f"synthesized loop needs more than {_MAX_GRID} points (bound {bound:.3g})")
+    n_grid = next_fast_len(int(bound))
     while n_grid <= _MAX_GRID:
         spec = np.fft.fft(_synth_values(coords, n_grid).reshape(4, n_grid)).T / n_grid
         q = n_grid // 4

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from looplab.errors import InvalidInput, InvalidLevel, NotInTopStratum
+from looplab import rootsub
+from looplab.errors import (ConvergenceFailure, InvalidInput, InvalidLevel,
+                            NotInTopStratum)
 from looplab.factorization import a0_from_dets, log_det_AstarA, toeplitz
 from looplab.loops import (default_grid_size, evaluate, evaluate_at,
                            identity_loop, multiply, star, unitarity_defect)
@@ -147,6 +149,37 @@ def test_synthesize_matches_exact_products(kind, n):
         # cut to the modes above 1e-14
         assert g.n_min == 0 or np.abs(g.coeffs[0]).max() > 1e-14
         assert g.n_max == 0 or np.abs(g.coeffs[-1]).max() > 1e-14
+
+
+def _assert_matches_exact(c):
+    g, ref = synthesize(c), _exact_synthesis(c)
+    n_grid = default_grid_size(max(g.band_width, ref.band_width))
+    assert np.abs(evaluate(g, n_grid) - evaluate(ref, n_grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kw", [
+    dict(eta=np.eye(1, 2001, 2000)[0] * 0.4j),
+    dict(zeta=np.eye(1, 2000, 1999)[0] * 0.3, chi=[0.05]),
+    dict(eta=np.eye(1, 1201, 1200)[0] * (0.2 - 0.1j),
+         zeta=np.eye(1, 900, 899)[0] * 0.5j)])
+def test_synthesize_high_index_factors(kw):
+    _assert_matches_exact(coords(**kw))
+
+
+def test_synthesize_grid_doubling(monkeypatch):
+    # an underestimated band leaves the first grid's tail above the floor
+    monkeypatch.setattr(rootsub, "_band_bound", lambda c: 1)
+    for c in _draws(12, 2):
+        _assert_matches_exact(c)
+    monkeypatch.setattr(rootsub, "_MAX_GRID", 64)
+    with pytest.raises(ConvergenceFailure):
+        synthesize(_draws(12, 1)[0])
+
+
+@pytest.mark.parametrize("chi1", [1e19, 1e308])
+def test_synthesize_huge_chi_raises(chi1):
+    with pytest.raises(ConvergenceFailure):
+        synthesize(coords(chi=[chi1]))
 
 
 @pytest.mark.parametrize("truncation", [12, 24])
