@@ -15,8 +15,7 @@ from .loops import (LaurentLoop, evaluate, fourier_project, identity_loop,
 from .factorization import (ToeplitzBlock, TriangularFactors, a0_from_dets,
                             birkhoff_factor, ldu_2x2, log_det_AstarA,
                             toeplitz, triangular_factor)
-from .rootsub import (RootCoordsSU2, coords_max_error, k1_synthesize,
-                      k2_observables, k2_synthesize, log_product_formula,
+from .rootsub import (RootCoordsSU2, coords_max_error, log_product_formula,
                       product_formula, recover_coords, recover_eta0,
                       synthesize, torus_loop)
 from .measures import (GeneralCoords, MeasureSpec, hellinger_vs_gaussian,

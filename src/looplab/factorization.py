@@ -28,6 +28,9 @@ __all__ = [
     "a0_from_dets",
 ]
 
+# largest grid residual birkhoff_factor accepts for g = g_minus g0 g_plus
+_RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ToeplitzBlock:
@@ -108,7 +111,7 @@ def _hardy_kappa_columns(g: LaurentLoop, M: int) -> np.ndarray:
     return X @ kappa
 
 
-def birkhoff_factor(g: LaurentLoop, M: int, tol: float = 1e-8):
+def birkhoff_factor(g: LaurentLoop, M: int):
     """Riemann-Hilbert splitting g = g_minus * g0 * g_plus.
 
     g_minus is a series in 1/z with value I at infinity, g_plus a series in z
@@ -116,7 +119,7 @@ def birkhoff_factor(g: LaurentLoop, M: int, tol: float = 1e-8):
     and the max-grid residual of the product is reported.
 
     Raises ConvergenceFailure if the truncated system is singular or the
-    residual exceeds tol.
+    residual exceeds _RESIDUAL_TOL.
     """
     d = g.dim
     X = _solve_hardy_columns(g, M)
@@ -134,9 +137,9 @@ def birkhoff_factor(g: LaurentLoop, M: int, tol: float = 1e-8):
     gm_full = multiply(g, LaurentLoop(d, 0, M, X.copy()))
     g_minus = gm_full.with_band(max(gm_full.n_min, -M), 0)
     res = _product_residual(g, g_minus, g0, g_plus)
-    if not np.isfinite(res) or res > tol:
+    if not np.isfinite(res) or res > _RESIDUAL_TOL:
         raise ConvergenceFailure(
-            f"factorization residual {res:.3e} exceeds tol {tol:.1e} "
+            f"factorization residual {res:.3e} exceeds tol {_RESIDUAL_TOL:.1e} "
             "(not in the top stratum, or cutoff M too small)")
     return g_minus, g0, g_plus, res
 
@@ -189,8 +192,8 @@ class TriangularFactors:
         return float(self.a[0, 0].real)
 
 
-def triangular_factor(g: LaurentLoop, M: int, tol: float = 1e-8) -> TriangularFactors:
-    g_minus, g0, g_plus, res = birkhoff_factor(g, M, tol)
+def triangular_factor(g: LaurentLoop, M: int) -> TriangularFactors:
+    g_minus, g0, g_plus, res = birkhoff_factor(g, M)
     ldot, m, a, udot = ldu_2x2(g0)
     l = multiply(g_minus, from_coeff_dict({0: ldot}, g.dim))
     u = multiply(from_coeff_dict({0: udot}, g.dim), g_plus)

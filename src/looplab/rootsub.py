@@ -8,7 +8,7 @@ formulas give the closed-form truncated Toeplitz determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -16,20 +16,16 @@ from scipy.fft import next_fast_len
 from .errors import ConvergenceFailure, InvalidInput, InvalidLevel, NotInTopStratum
 from .factorization import _hardy_kappa_columns, _solve_hardy_columns
 from .loops import (LaurentLoop, default_grid_size, evaluate, fourier_project,
-                    from_coeff_dict, identity_loop, multiply, star)
+                    star)
 
 __all__ = [
     "RootCoordsSU2",
-    "k1_synthesize",
-    "k2_synthesize",
     "torus_loop",
     "synthesize",
     "product_formula",
     "log_product_formula",
     "recover_coords",
     "recover_eta0",
-    "k2_observables",
-    "K2Observables",
     "coords_max_error",
 ]
 
@@ -67,45 +63,6 @@ class RootCoordsSU2:
         if not np.isfinite(np.concatenate(
                 [[self.chi0], self.eta, self.chi, self.zeta])).all():
             raise InvalidInput("coordinates must be finite")
-
-    @classmethod
-    def zero(cls, level: float = 0.0, truncation: int = 0) -> "RootCoordsSU2":
-        n = truncation
-        return cls(level, np.zeros(n, complex), 0.0,
-                   np.zeros(n, complex), np.zeros(n, complex))
-
-    @property
-    def truncation(self) -> int:
-        return max(len(self.eta), len(self.chi), len(self.zeta))
-
-
-def _factor(n: int, c: complex) -> LaurentLoop:
-    """a [[1, -conj(c) z^n], [c z^-n, 1]] with a = (1 + |c|^2)^(-1/2): the
-    eta_n factor of k1 at c = eta_n, the zeta_k factor at n = -k, c = -conj(zeta_k)."""
-    a = 1.0 / np.sqrt(1.0 + abs(c) ** 2)
-    if n == 0:
-        return from_coeff_dict({0: a * np.array([[1, -np.conj(c)], [c, 1]])})
-    return from_coeff_dict({0: a * np.eye(2),
-                            n: a * np.array([[0, -np.conj(c)], [0, 0]]),
-                            -n: a * np.array([[0, 0], [c, 0]])})
-
-
-def k1_synthesize(eta) -> LaurentLoop:
-    """Ordered product of the eta factors, highest index leftmost."""
-    eta = np.asarray(eta, dtype=complex)
-    g = identity_loop(2)
-    for n in np.flatnonzero(eta)[::-1].tolist():
-        g = multiply(g, _factor(n, eta[n]))
-    return g
-
-
-def k2_synthesize(zeta) -> LaurentLoop:
-    """Ordered product of the zeta factors (indices start at 1), highest leftmost."""
-    zeta = np.asarray(zeta, dtype=complex)
-    g = identity_loop(2)
-    for k in (np.flatnonzero(zeta)[::-1] + 1).tolist():
-        g = multiply(g, _factor(-k, -np.conj(zeta[k - 1])))
-    return g
 
 
 def chi_values(chi0: complex, chi, n_grid: int) -> np.ndarray:
@@ -251,10 +208,8 @@ def random_coords(rng: np.random.Generator, level: float = 0.0,
     chi = np.zeros(max_index, complex)
     zeta = np.zeros(max_index, complex)
     arrays = (eta, chi, zeta)
-    offsets = (0, 1, 1)
     for _ in range(n_nonzero):
-        fam = rng.integers(0, 3)
-        arr, off = arrays[fam], offsets[fam]
+        arr = arrays[rng.integers(0, 3)]
         idx = int(rng.integers(0, len(arr)))
         r = max_modulus * (0.2 + 0.8 * rng.random())
         arr[idx] = r * np.exp(2j * np.pi * rng.random())
@@ -288,7 +243,8 @@ def _above_floor(c: np.ndarray) -> np.ndarray:
     return np.trim_zeros(np.where(np.abs(c) <= _NOISE_FLOOR, 0, c), "b")
 
 
-def _recover_once(g: LaurentLoop, level: float, M: int, n_max: int) -> RootCoordsSU2:
+def _recover_once(g: LaurentLoop, level: float, M: int) -> RootCoordsSU2:
+    n_max = g.band_width
     # zeta side: the kappa-combined Hardy columns of g are proportional to
     # e^{-chi_+} (d2, -c2)^T.
     w = _hardy_kappa_columns(g, M)      # shape (M+1, 2)
@@ -297,10 +253,15 @@ def _recover_once(g: LaurentLoop, level: float, M: int, n_max: int) -> RootCoord
     # to e^{-chi_+} (-b1, a1)^T.
     Xs = _solve_hardy_columns(star(g), M)
     eta = _above_floor(_peel(Xs[:, 1, 1], Xs[:, 0, 1], range(n_max + 1)))
-    # chi: conjugate g by the recovered unitary factors and read the diagonal
-    t = multiply(multiply(k1_synthesize(eta), g), star(k2_synthesize(zeta)))
-    n_grid = default_grid_size(max(t.band_width, 2 * n_max + 1))
-    diag = evaluate(t, n_grid)[:, 0, 0]
+    # chi: (k1 g star(k2))_00 = e^chi on the circle.  With A = star(k1) and
+    # B = k2 on the synthesis grid, that entry is conj(A[:, 0]) g conj(B[0, :]).
+    empty = np.zeros(0, complex)
+    n_grid = default_grid_size(max(max(len(eta) - 1, 0) + g.band_width + len(zeta),
+                                   2 * n_max + 1))
+    A = _synth_values(RootCoordsSU2(level, eta, 0j, empty, empty), n_grid)
+    B = _synth_values(RootCoordsSU2(level, empty, 0j, empty, zeta), n_grid)
+    diag = np.einsum("ik,kij,jk->k", np.conj(A[:, 0]), evaluate(g, n_grid),
+                     np.conj(B[0]))
     ang = np.unwrap(np.angle(diag))
     spec = np.fft.fft(1j * ang) / n_grid
     chi0 = 1j * (float(np.mean(ang)) % (2 * np.pi))
@@ -308,26 +269,24 @@ def _recover_once(g: LaurentLoop, level: float, M: int, n_max: int) -> RootCoord
     return RootCoordsSU2(level, eta, chi0, chi, zeta)
 
 
-def recover_coords(g: LaurentLoop, l_hint: float = 0.0, tol: float = 1e-8,
-                   n_max: int | None = None, M: int | None = None) -> RootCoordsSU2:
+def recover_coords(g: LaurentLoop, l_hint: float = 0.0) -> RootCoordsSU2:
     """Invert synthesize: peel (eta, chi, zeta) off a unitary-valued loop.
 
     Contract: for g = synthesize(c) with support <= 8 and moduli <= 0.5,
     the result matches c to 1e-8 per coordinate.  Coordinates of modulus at
     or below the noise floor 1e-9 are returned as zero and trailing zeros
-    dropped: the arrays have the support length of c.  Raises InvalidInput for a loop with non-finite coefficients
-    and ConvergenceFailure when the resynthesized loop misses g by more than
-    tol on the grid.
+    dropped: the arrays have the support length of c.  Raises InvalidInput
+    for a loop with non-finite coefficients and ConvergenceFailure when the
+    resynthesized loop misses g by more than 1e-8 on the grid, with the Hardy
+    cutoff M = max(2 * band width, 32) and again with 2M.
     """
     if not np.isfinite(g.coeffs).all():
         raise InvalidInput("loop has non-finite coefficients")
-    if n_max is None:
-        n_max = g.band_width
-    if M is None:
-        M = max(2 * g.band_width, 32)
+    tol = 1e-8
+    M = max(2 * g.band_width, 32)
     last_res = np.inf
     for M_try in (M, 2 * M):
-        coords = _recover_once(g, l_hint, M_try, n_max)
+        coords = _recover_once(g, l_hint, M_try)
         resynth = synthesize(coords)
         n_grid = default_grid_size(max(g.band_width, resynth.band_width))
         last_res = float(np.abs(evaluate(resynth, n_grid)
@@ -368,47 +327,3 @@ def coords_max_error(c1: RootCoordsSU2, c2: RootCoordsSU2) -> float:
             err = max(err, float(np.abs(pad(a, n) - pad(b, n)).max()))
     d0 = np.exp(complex(c1.chi0)) - np.exp(complex(c2.chi0))
     return max(err, float(abs(d0)))
-
-
-# -- k2 observables ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class K2Observables:
-    x_series: np.ndarray = field(repr=False)   # coefficients of X at z^1..z^Mx
-    ratio_samples: np.ndarray = field(repr=False)
-    n_grid: int
-
-
-def k2_observables(zeta) -> K2Observables:
-    """The holomorphic data attached to k2: X and grid samples of c2/d2.
-
-    c2, d2 are the bottom-row entries of k2 (power series in z; c2(0) = 0).
-    x is solved in least squares from the pair of negative-part conditions
-    P_-(d2^* - x^* c2) = 0, P_-(-c2^* - x^* d2) = 0, and X = x / prod(1+|zeta_k|^2)^k.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    if not np.isfinite(zeta).all():
-        raise InvalidInput("zeta must be finite")
-    k2 = k2_synthesize(zeta)
-    B = k2.band_width
-    c2, d2 = k2.with_band(0, B).coeffs[:, 1].T
-    if abs(d2[0]) < 1e-12:
-        raise NotInTopStratum("d2(0) vanishes")
-    n_grid = default_grid_size(max(B, 1))
-    z = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
-    ratio = np.polyval(c2[::-1], z) / np.polyval(d2[::-1], z)
-    Mx = max(B, 1)
-    # rows q = 1..Mx+B+1 per condition, unknowns xbar_1..xbar_Mx: entry c_{m-q}
-    q = np.arange(1, Mx + B + 2)
-    lag = np.arange(1, Mx + 1)[None, :] - q[:, None]
-
-    def coeff(series, idx, fill=0.0):
-        return np.where((idx >= 0) & (idx <= B), series[np.clip(idx, 0, B)], fill)
-
-    A = np.concatenate([coeff(c2, lag), coeff(d2, lag)])
-    rhs = np.concatenate([coeff(np.conj(d2), q), coeff(-np.conj(c2), q, -0.0)])
-    xbar, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    ks = np.arange(1, len(zeta) + 1)
-    log_a20_sq = float(np.sum(ks * np.log1p(np.abs(zeta) ** 2)))
-    x = np.conj(xbar) * np.exp(-log_a20_sq)
-    return K2Observables(x_series=x, ratio_samples=ratio, n_grid=n_grid)

@@ -26,6 +26,9 @@ __all__ = [
     "hc_gamma_transform",
 ]
 
+# samples mc_diagonal_transform draws per batch
+_MC_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class TransformResult:
@@ -83,7 +86,7 @@ def partial_product(l: float, lam: float, N: int) -> complex:
 
 
 def mc_diagonal_transform(spec: MeasureSpec, lam: float, n: int,
-                          seed: int = 0, chunk: int = 2048) -> TransformResult:
+                          seed: int = 0) -> TransformResult:
     """Monte Carlo mean of prod (1+|eta_i|^2)^{i lam} (1+|zeta_k|^2)^{-i lam}.
 
     By independence the exact mean equals partial_product at the spec's
@@ -100,7 +103,7 @@ def mc_diagonal_transform(spec: MeasureSpec, lam: float, n: int,
     total_sq = 0.0
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(_MC_CHUNK, n - done)
         le = np.log1p(sample_radial_sq(spec.eta_exponents[None, :], rng,
                                        (m, spec.truncation)))
         lz = np.log1p(sample_radial_sq(spec.zeta_exponents[None, :], rng,

@@ -1,21 +1,17 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from looplab import rootsub
-from looplab.errors import (ConvergenceFailure, InvalidInput, InvalidLevel,
-                            NotInTopStratum)
+from looplab.errors import ConvergenceFailure, InvalidInput, InvalidLevel
 from looplab.factorization import a0_from_dets, log_det_AstarA, toeplitz
-from looplab.loops import (default_grid_size, evaluate, evaluate_at,
-                           identity_loop, multiply, star, unitarity_defect)
+from looplab.loops import (LaurentLoop, default_grid_size, evaluate,
+                           evaluate_at, from_coeff_dict, identity_loop,
+                           multiply, star, unitarity_defect)
 from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import (RootCoordsSU2, _above_floor, chi_values,
-                             coords_max_error, k1_synthesize, k2_observables,
-                             k2_synthesize,
-                             log_product_formula, product_formula,
-                             random_coords, recover_coords, recover_eta0,
-                             synthesize, torus_loop)
+                             coords_max_error, log_product_formula,
+                             product_formula, random_coords, recover_coords,
+                             recover_eta0, synthesize, torus_loop)
 
 E = np.array([], dtype=complex)
 
@@ -23,6 +19,37 @@ E = np.array([], dtype=complex)
 def coords(level=0.0, eta=E, chi0=0j, chi=E, zeta=E):
     return RootCoordsSU2(level, np.asarray(eta, complex), chi0,
                          np.asarray(chi, complex), np.asarray(zeta, complex))
+
+
+# ---- reference k1, k2: exact coefficient products -----------------------------
+
+def _factor(n: int, c: complex) -> LaurentLoop:
+    """a [[1, -conj(c) z^n], [c z^-n, 1]] with a = (1 + |c|^2)^(-1/2): the
+    eta_n factor of k1 at c = eta_n, the zeta_k factor at n = -k, c = -conj(zeta_k)."""
+    a = 1.0 / np.sqrt(1.0 + abs(c) ** 2)
+    if n == 0:
+        return from_coeff_dict({0: a * np.array([[1, -np.conj(c)], [c, 1]])})
+    return from_coeff_dict({0: a * np.eye(2),
+                            n: a * np.array([[0, -np.conj(c)], [0, 0]]),
+                            -n: a * np.array([[0, 0], [c, 0]])})
+
+
+def k1_synthesize(eta) -> LaurentLoop:
+    """Ordered product of the eta factors, highest index leftmost."""
+    eta = np.asarray(eta, dtype=complex)
+    g = identity_loop(2)
+    for n in np.flatnonzero(eta)[::-1].tolist():
+        g = multiply(g, _factor(n, eta[n]))
+    return g
+
+
+def k2_synthesize(zeta) -> LaurentLoop:
+    """Ordered product of the zeta factors (indices start at 1), highest leftmost."""
+    zeta = np.asarray(zeta, dtype=complex)
+    g = identity_loop(2)
+    for k in (np.flatnonzero(zeta)[::-1] + 1).tolist():
+        g = multiply(g, _factor(-k, -np.conj(zeta[k - 1])))
+    return g
 
 
 # ---- synthesis ---------------------------------------------------------------
@@ -272,10 +299,22 @@ def test_recover_single_zeta():
     assert abs(rec.zeta[0] - 0.3) < 1e-9
 
 
-def test_recover_mixed_triple():
-    c = coords(eta=[0.2], chi=[0.1j], zeta=[0.3])
-    rec = recover_coords(synthesize(c), l_hint=0.0)
+def _assert_recovered_with_support(c, rec):
+    # every coordinate within 1e-8; the nonzero pattern of c, no trailing zeros
     assert coords_max_error(c, rec) < 1e-8
+    for name in ("eta", "chi", "zeta"):
+        a, b = np.trim_zeros(getattr(c, name), "b"), getattr(rec, name)
+        assert len(b) == len(a) and (len(b) == 0 or b[-1] != 0)
+        np.testing.assert_array_equal(b != 0, a != 0)
+
+
+def test_recover_mixed_triple():
+    # the second triple sets the chi grid by its indices: eta_30 + zeta_20
+    # plus the loop's band, past every index the random draws reach
+    for c in (coords(eta=[0.2], chi=[0.1j], zeta=[0.3]),
+              coords(eta=np.eye(1, 31, 30)[0] * (0.3 - 0.1j), chi0=1.1j,
+                     chi=[0.05, 0, 0.02j], zeta=np.eye(1, 20, 19)[0] * 0.25j)):
+        _assert_recovered_with_support(c, recover_coords(synthesize(c)))
 
 
 def test_recover_with_chi0():
@@ -297,14 +336,8 @@ def test_recover_returns_exact_support(level):
     for seed in range(4):
         c = random_coords(np.random.default_rng([int(2 * level), seed]),
                           level=level)
-        rec = recover_coords(synthesize(c), l_hint=level)
-        assert coords_max_error(c, rec) < 1e-8
-        for name in ("eta", "chi", "zeta"):
-            a, b = getattr(c, name), getattr(rec, name)
-            a = np.trim_zeros(a, "b")
-            # the nonzero pattern of the input, with no trailing zeros
-            assert len(b) == len(a) and (len(b) == 0 or b[-1] != 0)
-            np.testing.assert_array_equal(b != 0, a != 0)
+        _assert_recovered_with_support(c, recover_coords(synthesize(c),
+                                                         l_hint=level))
 
 
 def test_recover_small_coordinate_above_noise_floor():
@@ -342,65 +375,3 @@ def test_recover_eta0_fast_path():
     g = synthesize(c)
     e0 = recover_eta0(g, M=max(g.band_width, 16))
     assert abs(e0 - c.eta[0]) < 1e-9
-
-
-# ---- k2 observables ----------------------------------------------------------
-
-def test_k2_observables_ratio_vanishes_at_zero():
-    obs = k2_observables(np.array([0.3, 0.1 + 0.05j]))
-    # c2/d2 is a power series in z with no constant term: mean over the
-    # grid of samples approximates the value at 0
-    assert abs(np.mean(obs.ratio_samples)) < 1e-9
-
-
-def test_k2_observables_single_factor_x():
-    # one factor: the defining conditions force x = conj(zeta_1) z, so the
-    # z^1 coefficient of X is conj(zeta_1)/(1+|zeta_1|^2)
-    c = 0.3 - 0.1j
-    obs = k2_observables(np.array([c]))
-    assert abs(obs.x_series[0] - np.conj(c) / (1 + abs(c) ** 2)) < 1e-9
-    if obs.x_series.size > 1:
-        assert np.abs(obs.x_series[1:]).max() < 1e-9
-
-
-@pytest.mark.parametrize("zeta", [[0.3, 0.1 + 0.05j], [0.0, 0.0, 0.4j],
-                                  [0.2, 0.0, 0.1 - 0.3j, 0.05], []])
-def test_k2_observables_matches_loop_reference(zeta):
-    # the least-squares system built entry by entry gives the same bits
-    zeta = np.asarray(zeta, dtype=complex)
-    k2 = k2_synthesize(zeta)
-    B = k2.band_width
-    c2 = np.array([k2.coeff(n)[1, 0] for n in range(B + 1)])
-    d2 = np.array([k2.coeff(n)[1, 1] for n in range(B + 1)])
-    Mx = max(B, 1)
-    Q = Mx + B + 1
-    A = np.zeros((2 * Q, Mx), dtype=complex)
-    rhs = np.zeros(2 * Q, dtype=complex)
-
-    def coeff(series, idx):
-        return series[idx] if 0 <= idx <= B else 0.0
-
-    for q in range(1, Q + 1):
-        for m in range(1, Mx + 1):
-            A[q - 1, m - 1] = coeff(c2, m - q)
-            A[Q + q - 1, m - 1] = coeff(d2, m - q)
-        rhs[q - 1] = np.conj(coeff(d2, q))
-        rhs[Q + q - 1] = -np.conj(coeff(c2, q))
-    xbar, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    ks = np.arange(1, len(zeta) + 1)
-    x = np.conj(xbar) * np.exp(-float(np.sum(ks * np.log1p(np.abs(zeta) ** 2))))
-    assert k2_observables(zeta).x_series.tobytes() == x.tobytes()
-
-
-def test_k2_observables_d2_zero_raises():
-    # a(zeta) -> 0 as |zeta| -> inf, which collapses d2(0) = a(zeta)
-    with pytest.raises(NotInTopStratum):
-        k2_observables(np.array([1e150]))
-
-
-@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.1, -np.inf)])
-def test_k2_observables_rejects_non_finite(bad):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidInput):
-            k2_observables(np.array([0.2, bad]))
