@@ -21,13 +21,15 @@ import tempfile
 
 from bench_pairs import ROOT, export_revision
 
-# one seeded run of every subcommand; invariance and reparam once per mode
-# or observable that reaches different code
+# one seeded run of every subcommand; diag once with several lambdas (one
+# set of draws for all), invariance and reparam once per mode or observable
+# that reaches different code
 COMMANDS = (
     "sample --level 0 --truncation 16 --n 10 --seed 3",
     "identities --level 0 --m 64 --trials 8 --seed 7",
     "roundtrip --level 0 --trials 6 --seed 5",
     "diag --level 0 --lambda 1 --n 100000 --truncation 512 --seed 7",
+    "diag --level 0 --lambda 0.5 --lambda 1 --lambda 2 --n 100000 --truncation 512 --seed 7",
     "affine --type A --rank 1 --level 0 --horizon 16",
     "affine --type A --rank 2 --level 0 --horizon 8",
     "wiener --n 40 --seed 3",

@@ -236,8 +236,8 @@ def _cmd_diag(args) -> int:
           "partial_product_im,sine_formula_re,sine_formula_im,within_3se,"
           "near_sine", file=buf)
     ok = True
-    for lam in lams:
-        res = mc_diagonal_transform(spec, lam, args.n, seed=args.seed)
+    results = mc_diagonal_transform(spec, np.array(lams), args.n, seed=args.seed)
+    for lam, res in zip(lams, results):
         pp = partial_product(args.level, lam, args.truncation)
         sf = sine_formula_su2(args.level, lam)
         gate1 = abs(res.value - pp) <= max(3 * res.stderr, 1e-12)

@@ -151,24 +151,42 @@ def _product_residual(g, g_minus, g0, g_plus) -> float:
     return float(np.abs(vals - evaluate(g, n_grid)).max())
 
 
+_J = np.complex128(1j)
+
+
+def _mul(x, y):
+    """x * y with each real product rounded on its own, as numpy's complex
+    scalar product does; its array loop may fuse them, an ulp away."""
+    return (x.real * y.real - x.imag * y.imag) + _J * (x.real * y.imag + x.imag * y.real)
+
+
 def ldu_2x2(g0: np.ndarray, tol: float = 1e-13):
-    """Unique decomposition g0 = l * m * a * u of a 2x2 invertible matrix.
+    """Unique decomposition g0 = l * m * a * u of a 2x2 invertible matrix, or
+    of each matrix of a (..., 2, 2) stack.
 
     l lower unipotent, u upper unipotent, m = diag of unit modulus,
-    a = positive diagonal.  Requires (g0)_11 != 0.
+    a = positive diagonal.  Requires (g0)_11 != 0 in every matrix.  A stack
+    gives bitwise the matrices that one call per matrix gives.
     """
     g0 = np.asarray(g0, dtype=complex)
-    a, b = g0[0, 0], g0[0, 1]
-    c, d = g0[1, 0], g0[1, 1]
-    scale = max(np.abs(g0).max(), 1.0)
-    if abs(a) <= tol * scale:
+    if g0.shape[-2:] != (2, 2):
+        raise InvalidInput(f"ldu_2x2 needs 2x2 matrices, got shape {g0.shape}")
+    # numpy scalars for one matrix (fast scalar arithmetic), arrays for a stack
+    a, b, c, d = g0.reshape(g0.shape[:-2] + (4,)).transpose(-1, *range(g0.ndim - 2))
+    abs_a = np.hypot(a.real, a.imag)    # rounds as abs() of a complex scalar
+    scale = np.abs(g0).max(axis=(-2, -1), initial=1.0)
+    if np.count_nonzero(abs_a <= tol * scale):
         raise NotInTopStratum("vanishing (1,1) entry: no LDU at this point")
-    det = a * d - b * c
-    d2 = det / a
-    l = np.array([[1.0, 0.0], [c / a, 1.0]], dtype=complex)
-    u = np.array([[1.0, b / a], [0.0, 1.0]], dtype=complex)
-    m = np.diag([a / abs(a), d2 / abs(d2)]).astype(complex)
-    adiag = np.diag([abs(a), abs(d2)]).astype(complex)
+    d2 = (_mul(a, d) - _mul(b, c)) / a
+    abs_d2 = np.hypot(d2.real, d2.imag)
+    l, m, adiag, u = np.zeros((4,) + g0.shape, dtype=complex)
+    l[..., 0, 0] = l[..., 1, 1] = u[..., 0, 0] = u[..., 1, 1] = 1.0
+    l[..., 1, 0] = c / a
+    u[..., 0, 1] = b / a
+    m[..., 0, 0] = a / abs_a
+    m[..., 1, 1] = d2 / abs_d2
+    adiag[..., 0, 0] = abs_a
+    adiag[..., 1, 1] = abs_d2
     return l, m, adiag, u
 
 

@@ -13,7 +13,7 @@ from scipy.special import gamma as _gamma
 
 from .errors import DomainError, InvalidInput, InvalidLevel
 from .factorization import ldu_2x2
-from .measures import MeasureSpec, sample_radial_sq
+from .measures import MeasureSpec
 
 __all__ = [
     "TransformResult",
@@ -40,13 +40,32 @@ class TransformResult:
 
 
 def _check_level(l):
-    if not l > -1.0:
-        raise InvalidLevel(f"level {l} <= -1")
+    if not -1.0 < l < np.inf:
+        raise InvalidLevel(f"level {l} is not a finite number > -1")
+
+
+def _check_lambda(lam):
+    if not np.all(np.isfinite(lam)):
+        raise InvalidInput(f"lambda must be finite, got {lam!r}")
+
+
+def _check_count(name: str, n, least: int):
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {n!r}")
+
+
+def _mc_estimate(total, total_sq, n: int):
+    """Mean and standard error of n samples from their sum and the sum of
+    their squared moduli."""
+    mean = total / n
+    var = max(total_sq / n - abs(mean) ** 2, 0.0)
+    return complex(mean), float(np.sqrt(var / n))
 
 
 def sine_formula_su2(l: float, lam: float) -> complex:
     """sin(pi/(2+l)) / sin((pi/(2+l)) (1 - i lam))."""
     _check_level(l)
+    _check_lambda(lam)
     c = np.pi / (2.0 + l)
     den = np.sin(c * (1.0 - 1j * lam))
     if abs(den) < 1e-300:
@@ -58,15 +77,14 @@ def marginal_factor(kind: str, index: int, l: float, lam: float) -> complex:
     """Exact one-coordinate expectation of (1+|w|^2)^{+i lam} (eta) or
     (1+|w|^2)^{-i lam} (zeta) under the corresponding measure factor."""
     _check_level(l)
+    _check_lambda(lam)
     s = l + 2.0
     if kind == "eta":
-        if index < 0:
-            raise InvalidInput("eta index must be >= 0")
+        _check_count("eta index", index, 0)
         p1 = s * index + 1.0
         return complex(p1 / (p1 - 1j * lam))
     if kind == "zeta":
-        if index < 1:
-            raise InvalidInput("zeta index must be >= 1")
+        _check_count("zeta index", index, 1)
         p1 = s * index - 1.0
         return complex(p1 / (p1 + 1j * lam))
     raise InvalidInput(f"unknown coordinate kind {kind!r}")
@@ -74,48 +92,58 @@ def marginal_factor(kind: str, index: int, l: float, lam: float) -> complex:
 
 def partial_product(l: float, lam: float, N: int) -> complex:
     """Product of the first N eta factors and first N zeta factors, in the
-    paired order (eta_j with zeta_{j+1}) that keeps partial products bounded."""
+    paired order (eta_j with zeta_{j+1}) that keeps partial products bounded,
+    multiplied left to right as eta_0 (eta_1 zeta_1) ... (eta_{N-1} zeta_{N-1}) zeta_N."""
     _check_level(l)
+    _check_lambda(lam)
+    _check_count("N", N, 0)
     if N == 0:
         return 1.0 + 0.0j
-    out = complex(marginal_factor("eta", 0, l, lam))
-    for j in range(1, N):
-        out *= marginal_factor("eta", j, l, lam) * marginal_factor("zeta", j, l, lam)
-    out *= marginal_factor("zeta", N, l, lam)
-    return out
+    s = l + 2.0
+    j = np.arange(N, dtype=float)
+    eta = (s * j + 1.0) / (s * j + 1.0 - 1j * lam)                # eta_0 .. eta_{N-1}
+    zeta = (s * (j + 1.0) - 1.0) / (s * (j + 1.0) - 1.0 + 1j * lam)  # zeta_1 .. zeta_N
+    eta[1:] *= zeta[:-1]
+    return complex(np.prod(eta) * zeta[-1])
 
 
-def mc_diagonal_transform(spec: MeasureSpec, lam: float, n: int,
-                          seed: int = 0) -> TransformResult:
+def mc_diagonal_transform(spec: MeasureSpec, lam, n: int, seed: int = 0):
     """Monte Carlo mean of prod (1+|eta_i|^2)^{i lam} (1+|zeta_k|^2)^{-i lam}.
 
     By independence the exact mean equals partial_product at the spec's
-    truncation.  Deterministic given the seed.
+    truncation.  Deterministic given the seed.  lam is a number, giving one
+    TransformResult, or a 1-D array, giving a list of them from one set of
+    draws; each equals bitwise the scalar call with the same seed.
     """
     if not spec.source.startswith("su2"):
         raise InvalidInput("diagonal transform requires an su2 measure spec")
-    if n < 1:
-        raise InvalidInput("need at least one sample")
-    if lam == 0.0:
-        return TransformResult(1.0 + 0j, 0.0, n, spec.truncation, "mc")
-    rng = np.random.default_rng([int(seed), 0x10f])
-    total = 0.0 + 0.0j
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        m = min(_MC_CHUNK, n - done)
-        le = np.log1p(sample_radial_sq(spec.eta_exponents[None, :], rng,
-                                       (m, spec.truncation)))
-        lz = np.log1p(sample_radial_sq(spec.zeta_exponents[None, :], rng,
-                                       (m, spec.truncation)))
-        vals = np.exp(1j * lam * (le.sum(axis=1) - lz.sum(axis=1)))
-        total += vals.sum()
-        total_sq += float(np.sum(np.abs(vals) ** 2))
-        done += m
-    mean = total / n
-    var = max(total_sq / n - abs(mean) ** 2, 0.0)
-    stderr = float(np.sqrt(var / n))
-    return TransformResult(complex(mean), stderr, n, spec.truncation, "mc")
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
+    lams = np.asarray(lam, dtype=float).reshape(-1)
+    if np.ndim(lam) > 1 or lams.size == 0:
+        raise InvalidInput("lambda must be a number or a non-empty 1-D array")
+    _check_lambda(lam)
+    live = np.flatnonzero(lams)         # lambda = 0 gives exactly 1, with no draws
+    total = np.zeros(lams.size, dtype=complex)
+    total_sq = np.zeros(lams.size)
+    if live.size:
+        # sample_radial_sq draws s = (1-u)^{-1/(p-1)} - 1, so each row sum of
+        # log(1+s) is log1p(-u) . (-1/(p-1)), from the same uniforms u
+        ce = -1.0 / (spec.eta_exponents - 1.0)
+        cz = -1.0 / (spec.zeta_exponents - 1.0)
+        rng = np.random.default_rng([int(seed), 0x10f])
+        buf = np.empty((min(_MC_CHUNK, n), spec.truncation))
+        for done in range(0, n, _MC_CHUNK):
+            u = buf[:min(_MC_CHUNK, n - done)]
+            le = np.log1p(np.negative(rng.random(out=u), out=u), out=u) @ ce
+            lz = np.log1p(np.negative(rng.random(out=u), out=u), out=u) @ cz
+            vals = np.exp(1j * lams[live, None] * (le - lz))
+            total[live] += vals.sum(axis=1)
+            total_sq[live] += np.sum(np.abs(vals) ** 2, axis=1)
+    out = [TransformResult(*(_mc_estimate(t, t_sq, n) if lam_i else (1.0 + 0j, 0.0)),
+                           n, spec.truncation, "mc")
+           for lam_i, t, t_sq in zip(lams, total, total_sq)]
+    return out if np.ndim(lam) else out[0]
 
 
 def general_sine_formula(rs, l: float, lam) -> complex:
@@ -126,6 +154,7 @@ def general_sine_formula(rs, l: float, lam) -> complex:
     invariant under rescaling the bilinear form.
     """
     _check_level(l)
+    _check_lambda(lam)
     g = float(rs.dual_coxeter)
     c = np.pi / (l + g)
     lam = [float(v) for v in lam]
@@ -145,27 +174,24 @@ def general_sine_formula(rs, l: float, lam) -> complex:
 def finite_hc_check(lam: float, n: int, seed: int = 0) -> TransformResult:
     """Monte Carlo of a0^(-2 i lam) over Haar-random SU(2), a0 = |g_11|
     extracted through the 2x2 LDU; the exact value is 1/(1 - i lam)."""
-    if n < 1:
-        raise InvalidInput("need at least one sample")
+    _check_lambda(lam)
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng([int(seed), 0x5c])
-    vals = np.empty(n, dtype=complex)
-    for m in range(n):
-        x = rng.standard_normal(4)
-        x /= np.linalg.norm(x)
-        a, b = x[0] + 1j * x[1], x[2] + 1j * x[3]
-        gmat = np.array([[a, b], [-np.conj(b), np.conj(a)]])
-        _, _, adiag, _ = ldu_2x2(gmat)
-        a0 = float(adiag[0, 0].real)
-        vals[m] = np.exp(-2j * lam * np.log(a0))
-    mean = vals.mean()
-    var = max(float(np.mean(np.abs(vals) ** 2)) - abs(mean) ** 2, 0.0)
-    return TransformResult(complex(mean), float(np.sqrt(var / n)), n, 0,
-                           "haar-mc")
+    x = rng.standard_normal((n, 4))     # the stream of n draws of 4
+    x /= np.sqrt(np.vecdot(x, x))[:, None]
+    a, b = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+    gmat = np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(n, 2, 2)
+    _, _, adiag, _ = ldu_2x2(gmat)
+    vals = np.exp(-2j * lam * np.log(adiag[:, 0, 0].real))
+    mean, stderr = _mc_estimate(vals.sum(), np.sum(np.abs(vals) ** 2), n)
+    return TransformResult(mean, stderr, n, 0, "haar-mc")
 
 
 def hc_gamma_transform(rs, l: float, lam) -> complex:
     """Product over positive roots of Gamma(1 + (i pi/(l+g)) <lam,a>/<a,a>)."""
     _check_level(l)
+    _check_lambda(lam)
     g = float(rs.dual_coxeter)
     lam = [float(v) for v in lam]
     out = 1.0 + 0.0j

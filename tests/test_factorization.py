@@ -121,6 +121,60 @@ def test_ldu_not_in_top_stratum():
         ldu_2x2(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+def _ldu_2x2_scalar(g0, tol=1e-13):
+    """The single-matrix LDU as written before ldu_2x2 took stacks: the
+    reference for the 2x2 call that triangular_factor and wiener make."""
+    g0 = np.asarray(g0, dtype=complex)
+    a, b = g0[0, 0], g0[0, 1]
+    c, d = g0[1, 0], g0[1, 1]
+    scale = max(np.abs(g0).max(), 1.0)
+    if abs(a) <= tol * scale:
+        raise NotInTopStratum("vanishing (1,1) entry: no LDU at this point")
+    det = a * d - b * c
+    d2 = det / a
+    l = np.array([[1.0, 0.0], [c / a, 1.0]], dtype=complex)
+    u = np.array([[1.0, b / a], [0.0, 1.0]], dtype=complex)
+    m = np.diag([a / abs(a), d2 / abs(d2)]).astype(complex)
+    adiag = np.diag([abs(a), abs(d2)]).astype(complex)
+    return l, m, adiag, u
+
+
+def _random_stack(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+
+
+def test_ldu_single_matrix_matches_scalar_reference():
+    for g0 in _random_stack(21, 300):
+        for got, want in zip(ldu_2x2(g0), _ldu_2x2_scalar(g0)):
+            assert got.shape == (2, 2) and got.dtype == complex
+            assert np.array_equal(got, want)
+
+
+def test_ldu_stack_matches_per_matrix_calls():
+    G = _random_stack(22, 400)
+    stacked = ldu_2x2(G)
+    for k, g0 in enumerate(G):
+        for got, want in zip(stacked, ldu_2x2(g0)):
+            assert np.array_equal(got[k], want)
+    l, m, a, u = stacked
+    np.testing.assert_allclose(l @ m @ a @ u, G, atol=1e-12)
+    assert l.shape == m.shape == a.shape == u.shape == G.shape
+
+
+def test_ldu_rejects_non_2x2_shapes():
+    for shape in ((3, 3), (2,), (5, 2, 3)):
+        with pytest.raises(InvalidInput):
+            ldu_2x2(np.ones(shape))
+
+
+def test_ldu_stack_with_one_vanishing_entry_raises():
+    G = _random_stack(23, 50)
+    G[17, 0, 0] = 0.0
+    with pytest.raises(NotInTopStratum):
+        ldu_2x2(G)
+
+
 def test_triangular_factor_matches_det_route():
     c = RootCoordsSU2(1.0, np.array([0.3]), 0j, E, np.array([0.2 - 0.1j]))
     g = synthesize(c)
