@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidInput, InvalidLevel, NonReducedSequence
+from .errors import (InvalidInput, InvalidLevel, NonReducedSequence,
+                     check_level)
 
 __all__ = [
     "RootSystem",
@@ -314,27 +315,6 @@ class ReducedSequence:
     def word(self, n: int) -> tuple:
         return tuple(self.index(m) for m in range(1, n + 1))
 
-    def point_isometry(self, n: int):
-        """(matrix M, shift t) of w_n = r_{i_n} ... r_{i_1} acting on
-        value-coordinates: x -> M x + t."""
-        r = self.rs.rank
-        M = [[Fraction(1 if a == b else 0) for b in range(r)] for a in range(r)]
-        t = [Fraction(0)] * r
-        for m in range(1, n + 1):
-            i = self.index(m)
-            zero_im = _point_reflect(self.rs, i, (Fraction(0),) * r)
-            cols = [_point_reflect(self.rs, i,
-                                   tuple(Fraction(1 if a == b else 0)
-                                         for a in range(r)))
-                    for b in range(r)]
-            R = [[cols[b][a] - zero_im[a] for b in range(r)] for a in range(r)]
-            newM = [[sum(R[a][c] * M[c][b] for c in range(r))
-                     for b in range(r)] for a in range(r)]
-            newt = [sum(R[a][c] * t[c] for c in range(r)) + zero_im[a]
-                    for a in range(r)]
-            M, t = newM, newt
-        return tuple(tuple(row) for row in M), tuple(t)
-
 
 def _dominant_values(rs: RootSystem, coroot_coeffs):
     """Value-coordinates of lambda = sum c_j h_j."""
@@ -483,9 +463,8 @@ class ExponentTable:
 
 def exponent_table(rs: RootSystem, seq: ReducedSequence, level,
                    horizon: int) -> ExponentTable:
+    check_level(level)
     level = Fraction(level)
-    if not level > -1:
-        raise InvalidLevel(f"level {level} <= -1")
     g = rs.dual_coxeter
     shift = level + g
     zeta_rows = []

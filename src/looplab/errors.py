@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all looplab modules."""
+"""Exception hierarchy shared by all looplab modules, and the input checks
+they share."""
+
+import math
+import numbers
 
 
 class LooplabError(Exception):
@@ -11,6 +15,19 @@ class InvalidInput(LooplabError):
 
 class InvalidLevel(InvalidInput):
     """Level parameter outside the admissible range l > -1."""
+
+
+def check_level(level) -> None:
+    """Raise InvalidLevel unless level is a finite number > -1: NaN and +inf
+    fail the comparison, as does anything at or below -1."""
+    if not -1 < level < math.inf:
+        raise InvalidLevel(f"level {level} is not a finite number > -1")
+
+
+def check_count(name: str, n, least: int) -> None:
+    """Raise InvalidInput unless n is an integer (not a bool) >= least."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 class ConvergenceFailure(LooplabError):

@@ -30,6 +30,8 @@ __all__ = [
 
 # largest grid residual birkhoff_factor accepts for g = g_minus g0 g_plus
 _RESIDUAL_TOL = 1e-8
+# ldu_2x2 rejects a (1,1) entry at or below this times the largest entry
+_LDU_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -100,17 +102,6 @@ def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
     return X.reshape(M_eff + 1, d, d)[:M + 1]
 
 
-def _hardy_kappa_columns(g: LaurentLoop, M: int) -> np.ndarray:
-    """The Hardy columns X of g combined as X @ [H_11, -H_10] (H = X[0]), so
-    the value at z=0 has vanishing second component.  Shape (M+1, 2)."""
-    X = _solve_hardy_columns(g, M)
-    H = X[0]
-    kappa = np.array([H[1, 1], -H[1, 0]])
-    if np.abs(kappa).max() < 1e-300:
-        raise NotInTopStratum("degenerate constant block in Hardy solve")
-    return X @ kappa
-
-
 def birkhoff_factor(g: LaurentLoop, M: int):
     """Riemann-Hilbert splitting g = g_minus * g0 * g_plus.
 
@@ -160,7 +151,7 @@ def _mul(x, y):
     return (x.real * y.real - x.imag * y.imag) + _J * (x.real * y.imag + x.imag * y.real)
 
 
-def ldu_2x2(g0: np.ndarray, tol: float = 1e-13):
+def ldu_2x2(g0: np.ndarray):
     """Unique decomposition g0 = l * m * a * u of a 2x2 invertible matrix, or
     of each matrix of a (..., 2, 2) stack.
 
@@ -175,7 +166,7 @@ def ldu_2x2(g0: np.ndarray, tol: float = 1e-13):
     a, b, c, d = g0.reshape(g0.shape[:-2] + (4,)).transpose(-1, *range(g0.ndim - 2))
     abs_a = np.hypot(a.real, a.imag)    # rounds as abs() of a complex scalar
     scale = np.abs(g0).max(axis=(-2, -1), initial=1.0)
-    if np.count_nonzero(abs_a <= tol * scale):
+    if np.count_nonzero(abs_a <= _LDU_TOL * scale):
         raise NotInTopStratum("vanishing (1,1) entry: no LDU at this point")
     d2 = (_mul(a, d) - _mul(b, c)) / a
     abs_d2 = np.hypot(d2.real, d2.imag)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConvergenceFailure, InvalidInput, InvalidLevel
+from .errors import ConvergenceFailure, InvalidInput, check_count, check_level
 from .rootsub import RootCoordsSU2
 
 __all__ = [
@@ -42,8 +42,7 @@ class MeasureSpec:
     source: str = "su2"
 
     def __post_init__(self):
-        if not self.level > -1.0:
-            raise InvalidLevel(f"level {self.level} <= -1")
+        check_level(self.level)
         for name in ("eta_exponents", "chi_rates", "zeta_exponents"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
@@ -53,8 +52,7 @@ class MeasureSpec:
 
     @classmethod
     def su2(cls, level: float, truncation: int) -> "MeasureSpec":
-        if not level > -1.0:
-            raise InvalidLevel(f"level {level} <= -1")
+        check_level(level)
         s = level + 2.0
         i = np.arange(truncation)
         j = np.arange(1, truncation + 1)
@@ -144,6 +142,7 @@ def hellinger_vs_gaussian(spec: MeasureSpec, index: int, kind: str) -> float:
 
         H^2 = 2 - 2 * sqrt((p-1) p) * int_0^inf (1+s)^{-p/2} e^{-p s/2} ds.
     """
+    check_count(f"{kind} index", index, 0)
     if kind == "chi":
         if not 1 <= index <= spec.truncation:
             raise InvalidInput("chi index out of range")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import ConvergenceFailure, InvalidInput, InvalidLevel, NotInTopStratum
-from .factorization import _hardy_kappa_columns, _solve_hardy_columns
+from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_level
+from .factorization import _solve_hardy_columns
 from .loops import (LaurentLoop, default_grid_size, evaluate, fourier_project,
                     star)
 
@@ -53,8 +53,7 @@ class RootCoordsSU2:
     zeta: np.ndarray
 
     def __post_init__(self):
-        if not self.level > -1.0:
-            raise InvalidLevel(f"level {self.level} <= -1")
+        check_level(self.level)
         if abs(complex(self.chi0).real) > 1e-12:
             raise InvalidInput("chi0 must be purely imaginary")
         for name in ("eta", "chi", "zeta"):
@@ -219,6 +218,31 @@ def random_coords(rng: np.random.Generator, level: float = 0.0,
 
 # -- coordinate recovery -----------------------------------------------------
 
+def _hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
+    """Hardy columns X of g in the top stratum: H = X[0] = g0^-1 must have
+    |H_22| >= 1e-12 max|H|, as an LDU of g0 divides by (g0)_11 = H_22 / det H.
+    Raises NotInTopStratum otherwise."""
+    X = _solve_hardy_columns(g, M)
+    H = X[0]
+    if abs(H[1, 1]) < 1e-12 * max(abs(H).max(), 1e-300):
+        raise NotInTopStratum("vanishing (2,2) entry in constant block")
+    return X
+
+
+def _zeta_columns(g: LaurentLoop, M: int):
+    """Rows (lead, tail) for the zeta peel: the Hardy columns of g combined
+    as X @ [H_22, -H_21], proportional to e^{-chi_+} (d2, -c2)^T."""
+    X = _hardy_columns(g, M)
+    return (X @ np.array([X[0, 1, 1], -X[0, 1, 0]])).T
+
+
+def _eta_columns(g: LaurentLoop, M: int):
+    """(lead, tail) for the eta peel: the second Hardy column of star(g),
+    proportional to e^{-chi_+} (-b1, a1)^T."""
+    X = _hardy_columns(star(g), M)
+    return X[:, 1, 1], X[:, 0, 1]
+
+
 def _peel(lead: np.ndarray, tail: np.ndarray, indices) -> np.ndarray:
     """Strip root-subgroup factors from a pair of Hardy columns.
 
@@ -245,14 +269,8 @@ def _above_floor(c: np.ndarray) -> np.ndarray:
 
 def _recover_once(g: LaurentLoop, level: float, M: int) -> RootCoordsSU2:
     n_max = g.band_width
-    # zeta side: the kappa-combined Hardy columns of g are proportional to
-    # e^{-chi_+} (d2, -c2)^T.
-    w = _hardy_kappa_columns(g, M)      # shape (M+1, 2)
-    zeta = _above_floor(_peel(w[:, 0], w[:, 1], range(1, n_max + 1)))
-    # eta side: the second Hardy column of star(g) is already proportional
-    # to e^{-chi_+} (-b1, a1)^T.
-    Xs = _solve_hardy_columns(star(g), M)
-    eta = _above_floor(_peel(Xs[:, 1, 1], Xs[:, 0, 1], range(n_max + 1)))
+    zeta = _above_floor(_peel(*_zeta_columns(g, M), range(1, n_max + 1)))
+    eta = _above_floor(_peel(*_eta_columns(g, M), range(n_max + 1)))
     # chi: (k1 g star(k2))_00 = e^chi on the circle.  With A = star(k1) and
     # B = k2 on the synthesis grid, that entry is conj(A[:, 0]) g conj(B[0, :]).
     empty = np.zeros(0, complex)
@@ -276,9 +294,10 @@ def recover_coords(g: LaurentLoop, l_hint: float = 0.0) -> RootCoordsSU2:
     the result matches c to 1e-8 per coordinate.  Coordinates of modulus at
     or below the noise floor 1e-9 are returned as zero and trailing zeros
     dropped: the arrays have the support length of c.  Raises InvalidInput
-    for a loop with non-finite coefficients and ConvergenceFailure when the
-    resynthesized loop misses g by more than 1e-8 on the grid, with the Hardy
-    cutoff M = max(2 * band width, 32) and again with 2M.
+    for a loop with non-finite coefficients, NotInTopStratum outside the top
+    stratum (_hardy_columns) and ConvergenceFailure when the resynthesized
+    loop misses g by more than 1e-8 on the grid, with the Hardy cutoff
+    M = max(2 * band width, 32) and again with 2M.
     """
     if not np.isfinite(g.coeffs).all():
         raise InvalidInput("loop has non-finite coefficients")
@@ -298,19 +317,14 @@ def recover_coords(g: LaurentLoop, l_hint: float = 0.0) -> RootCoordsSU2:
 
 
 def recover_eta0(g: LaurentLoop, M: int | None = None) -> complex:
-    """Fast path for eta_0 alone: one Hardy solve of star(g).
-
-    eta_0 = conj of the (1,2)/(2,2) ratio of the constant block.
-    """
+    """Fast path for eta_0 alone: the first step of the eta peel, one Hardy
+    solve of star(g).  eta_0 = conj of the (1,2)/(2,2) ratio of its constant
+    block."""
     if not np.isfinite(g.coeffs).all():
         raise InvalidInput("loop has non-finite coefficients")
     if M is None:
         M = max(g.band_width, 8)
-    Xs = _solve_hardy_columns(star(g), M)
-    H = Xs[0]
-    if abs(H[1, 1]) < 1e-12 * max(abs(H).max(), 1e-300):
-        raise NotInTopStratum("vanishing (2,2) entry in constant block")
-    return complex(np.conj(H[0, 1] / H[1, 1]))
+    return complex(_peel(*_eta_columns(g, M), [0])[0])
 
 
 def coords_max_error(c1: RootCoordsSU2, c2: RootCoordsSU2) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import DomainError, InvalidInput, InvalidLevel
+from .errors import DomainError, InvalidInput, check_count, check_level
 from .factorization import ldu_2x2
 from .measures import MeasureSpec
 
@@ -39,19 +39,9 @@ class TransformResult:
     method: str
 
 
-def _check_level(l):
-    if not -1.0 < l < np.inf:
-        raise InvalidLevel(f"level {l} is not a finite number > -1")
-
-
 def _check_lambda(lam):
     if not np.all(np.isfinite(lam)):
         raise InvalidInput(f"lambda must be finite, got {lam!r}")
-
-
-def _check_count(name: str, n, least: int):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
-        raise InvalidInput(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def _mc_estimate(total, total_sq, n: int):
@@ -64,7 +54,7 @@ def _mc_estimate(total, total_sq, n: int):
 
 def sine_formula_su2(l: float, lam: float) -> complex:
     """sin(pi/(2+l)) / sin((pi/(2+l)) (1 - i lam))."""
-    _check_level(l)
+    check_level(l)
     _check_lambda(lam)
     c = np.pi / (2.0 + l)
     den = np.sin(c * (1.0 - 1j * lam))
@@ -76,15 +66,15 @@ def sine_formula_su2(l: float, lam: float) -> complex:
 def marginal_factor(kind: str, index: int, l: float, lam: float) -> complex:
     """Exact one-coordinate expectation of (1+|w|^2)^{+i lam} (eta) or
     (1+|w|^2)^{-i lam} (zeta) under the corresponding measure factor."""
-    _check_level(l)
+    check_level(l)
     _check_lambda(lam)
     s = l + 2.0
     if kind == "eta":
-        _check_count("eta index", index, 0)
+        check_count("eta index", index, 0)
         p1 = s * index + 1.0
         return complex(p1 / (p1 - 1j * lam))
     if kind == "zeta":
-        _check_count("zeta index", index, 1)
+        check_count("zeta index", index, 1)
         p1 = s * index - 1.0
         return complex(p1 / (p1 + 1j * lam))
     raise InvalidInput(f"unknown coordinate kind {kind!r}")
@@ -94,9 +84,9 @@ def partial_product(l: float, lam: float, N: int) -> complex:
     """Product of the first N eta factors and first N zeta factors, in the
     paired order (eta_j with zeta_{j+1}) that keeps partial products bounded,
     multiplied left to right as eta_0 (eta_1 zeta_1) ... (eta_{N-1} zeta_{N-1}) zeta_N."""
-    _check_level(l)
+    check_level(l)
     _check_lambda(lam)
-    _check_count("N", N, 0)
+    check_count("N", N, 0)
     if N == 0:
         return 1.0 + 0.0j
     s = l + 2.0
@@ -117,8 +107,8 @@ def mc_diagonal_transform(spec: MeasureSpec, lam, n: int, seed: int = 0):
     """
     if not spec.source.startswith("su2"):
         raise InvalidInput("diagonal transform requires an su2 measure spec")
-    _check_count("n", n, 1)
-    _check_count("seed", seed, 0)
+    check_count("n", n, 1)
+    check_count("seed", seed, 0)
     lams = np.asarray(lam, dtype=float).reshape(-1)
     if np.ndim(lam) > 1 or lams.size == 0:
         raise InvalidInput("lambda must be a number or a non-empty 1-D array")
@@ -153,7 +143,7 @@ def general_sine_formula(rs, l: float, lam) -> complex:
     lam is given by its coefficients in the simple-root basis.  The value is
     invariant under rescaling the bilinear form.
     """
-    _check_level(l)
+    check_level(l)
     _check_lambda(lam)
     g = float(rs.dual_coxeter)
     c = np.pi / (l + g)
@@ -175,8 +165,8 @@ def finite_hc_check(lam: float, n: int, seed: int = 0) -> TransformResult:
     """Monte Carlo of a0^(-2 i lam) over Haar-random SU(2), a0 = |g_11|
     extracted through the 2x2 LDU; the exact value is 1/(1 - i lam)."""
     _check_lambda(lam)
-    _check_count("n", n, 1)
-    _check_count("seed", seed, 0)
+    check_count("n", n, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng([int(seed), 0x5c])
     x = rng.standard_normal((n, 4))     # the stream of n draws of 4
     x /= np.sqrt(np.vecdot(x, x))[:, None]
@@ -190,7 +180,7 @@ def finite_hc_check(lam: float, n: int, seed: int = 0) -> TransformResult:
 
 def hc_gamma_transform(rs, l: float, lam) -> complex:
     """Product over positive roots of Gamma(1 + (i pi/(l+g)) <lam,a>/<a,a>)."""
-    _check_level(l)
+    check_level(l)
     _check_lambda(lam)
     g = float(rs.dual_coxeter)
     lam = [float(v) for v in lam]

@@ -15,10 +15,9 @@ import numpy as np
 from scipy import stats
 
 from .errors import ExperimentDegenerate, InvalidInput, LooplabError
-from .factorization import _hardy_kappa_columns, _solve_hardy_columns, ldu_2x2
 from .loops import LaurentLoop, fourier_project, mobius_reparam, multiply
 from .measures import MeasureSpec, sample_coords
-from .rootsub import recover_eta0, synthesize
+from .rootsub import _hardy_columns, _peel, _zeta_columns, recover_eta0, synthesize
 
 __all__ = [
     "WienerConfig",
@@ -35,6 +34,9 @@ _PAULI = (
     np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+
+# _su2_log_vector raises within this distance of the branch cut at -I
+_BRANCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,14 @@ def _su2_exp(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su2_log_vector(g: np.ndarray, branch_tol: float = 1e-6) -> np.ndarray:
+def _su2_log_vector(g: np.ndarray) -> np.ndarray:
     """Real 3-vector v with g = exp(i v.sigma); raises near the branch cut."""
     c = float(np.real(g[0, 0] + g[1, 1]) / 2.0)
     v = np.array([np.imag(g[0, 1] + g[1, 0]) / 2.0,
                   np.real(g[0, 1] - g[1, 0]) / 2.0,
                   np.imag(g[0, 0] - g[1, 1]) / 2.0])
     s = np.linalg.norm(v)
-    if c < -1.0 + branch_tol and s < branch_tol:
+    if c < -1.0 + _BRANCH_TOL and s < _BRANCH_TOL:
         raise LooplabError("endpoint at the branch cut of the group logarithm")
     theta = float(np.arctan2(s, c))
     if s < 1e-300:
@@ -127,6 +129,22 @@ def sample_brownian_loop(cfg: WienerConfig, idx: int = 0):
     return loop, resamples
 
 
+def _collect(n: int, draw):
+    """The values of draw(i) for i < n, skipping draws that raise
+    LooplabError, and the failure rate.  Raises ExperimentDegenerate when
+    more than half of the draws fail."""
+    vals, failures = [], 0
+    for i in range(n):
+        try:
+            vals.append(draw(i))
+        except LooplabError:
+            failures += 1
+    rate = failures / n
+    if rate > 0.5:
+        raise ExperimentDegenerate(f"sample failure rate {rate:.2f} > 0.5")
+    return vals, rate
+
+
 @dataclass(frozen=True)
 class Eta0Report:
     ks: float
@@ -144,58 +162,39 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
     With reference_level set, the loops come from the exact coordinate
     sampler at that level instead of the Brownian walk (harness self-test).
     """
-    vals = []
-    failures = 0
-    M = max(cfg.band_eff, 16)
     if reference_level is not None:
         spec = MeasureSpec.su2(reference_level, truncation=12)
         master = np.random.default_rng([int(cfg.seed), 0xe7a])
         seeds = master.integers(0, 2 ** 62, size=cfg.n_samples)
-    for i in range(cfg.n_samples):
-        try:
-            if reference_level is not None:
-                coords = sample_coords(spec, np.random.default_rng(int(seeds[i])))
-                g = synthesize(coords)
-                eta0 = recover_eta0(g, M=max(g.band_width, 16))
-            else:
-                g, _ = sample_brownian_loop(cfg, i)
-                eta0 = recover_eta0(g, M=M)
-        except LooplabError:
-            failures += 1
-            continue
-        vals.append(eta0)
-    n_eff = len(vals)
-    rate = failures / cfg.n_samples
-    if rate > 0.5:
-        raise ExperimentDegenerate(f"recovery failure rate {rate:.2f} > 0.5")
+
+    def draw(i):
+        if reference_level is None:
+            g, _ = sample_brownian_loop(cfg, i)
+        else:
+            g = synthesize(sample_coords(spec, np.random.default_rng(int(seeds[i]))))
+        return recover_eta0(g, M=max(g.band_width, 16))
+
+    vals, rate = _collect(cfg.n_samples, draw)
     vals = np.asarray(vals)
     u = np.abs(vals) ** 2 / (1.0 + np.abs(vals) ** 2)
     ks = stats.kstest(u, "uniform")
     return Eta0Report(ks=float(ks.statistic), pvalue=float(ks.pvalue),
-                      n_effective=n_eff, failure_rate=rate, eta0=vals)
+                      n_effective=len(vals), failure_rate=rate, eta0=vals)
 
 
-def _observable_a0(g: LaurentLoop, M: int) -> float:
-    """a0 through the constant Riemann-Hilbert block (cheapest exact route)."""
-    X = _solve_hardy_columns(g, M)
-    g0 = np.linalg.inv(X[0])
-    g0 = g0 / np.sqrt(complex(np.linalg.det(g0)))
-    _, _, adiag, _ = ldu_2x2(g0)
-    return float(adiag[0, 0].real)
+def _a0(g: LaurentLoop, M: int) -> float:
+    """The LDU's a0 of g0 / sqrt(det g0), g0 = H^-1 for the constant Hardy
+    block H: as (g0)_11 = H_22 / det H, a0 = |H_22| / sqrt|det H|."""
+    H = _hardy_columns(g, M)[0]
+    return float(abs(H[1, 1]) / np.sqrt(abs(np.linalg.det(H))))
 
 
-_OBSERVABLES = ("a0", "abs_eta0", "abs_zeta1")
-
-
-def _observable(g: LaurentLoop, name: str, M: int) -> float:
-    if name == "a0":
-        return _observable_a0(g, M)
-    if name == "abs_eta0":
-        return abs(recover_eta0(g, M=M))
-    if name == "abs_zeta1":
-        w = _hardy_kappa_columns(g, M)
-        return float(abs(w[1, 1] / w[0, 0]))
-    raise InvalidInput(f"unknown observable {name!r}")
+# observable name -> value on a loop, from a Hardy solve with cutoff M
+_OBSERVABLES = {
+    "a0": _a0,
+    "abs_eta0": lambda g, M: abs(recover_eta0(g, M=M)),
+    "abs_zeta1": lambda g, M: float(abs(_peel(*_zeta_columns(g, M), [1])[0])),
+}
 
 
 @dataclass(frozen=True)
@@ -207,49 +206,43 @@ class InvarianceReport:
     max_per_sample_diff: float
 
 
-def _paired_experiment(spec: MeasureSpec, transform, observable: str, n: int,
-                       seed: int, spec_b: MeasureSpec | None = None):
-    """Common harness: observable distribution of {g} vs {transform(g)}.
+def _ks_two_sample(a, b):
+    """Two-sample KS statistic D = h/n of two samples of equal size n, and
+    its p-value: exact up to n = 10000 and asymptotic above, as scipy's
+    default chooses.  For h <= 1 the p-value is 1 exactly (two samples with
+    no common value always reach h = 1); scipy's exact routine rounds it,
+    for some n above 1, where it falls back with a warning."""
+    n = len(a)
+    res = stats.ks_2samp(a, b, method="asymp")
+    h = round(res.statistic * n)
+    if h <= 1:
+        return h / n, 1.0
+    if n <= 10000:
+        res = stats.ks_2samp(a, b, method="exact")
+    return float(res.statistic), float(res.pvalue)
 
-    With spec_b set, the second stream is instead sampled from spec_b and
-    left untransformed (the deliberately-broken power control).
-    """
+
+def _paired_experiment(spec: MeasureSpec, second, observable: str, n: int,
+                       seed: int) -> InvarianceReport:
+    """Common harness: observable law of g, drawn from spec, against that of
+    second(g, i), i the index of the draw."""
     if observable not in _OBSERVABLES:
         raise InvalidInput(f"unknown observable {observable!r}")
     if n < 1:
         raise InvalidInput("need at least one sample")
-    obs_a, obs_b = [], []
-    failures = 0
-    diff = 0.0
-    for i in range(n):
-        rng = np.random.default_rng([int(seed), i])
-        try:
-            g = synthesize(sample_coords(spec, rng))
-            M = g.band_width + 4
-            va = _observable(g, observable, M)
-            if spec_b is not None:
-                rng_b = np.random.default_rng([int(seed), i, 1])
-                h = synthesize(sample_coords(spec_b, rng_b))
-                vb = _observable(h, observable, h.band_width + 4)
-            else:
-                g2 = transform(g)
-                vb = _observable(g2, observable, g2.band_width + 4)
-        except LooplabError:
-            failures += 1
-            continue
-        obs_a.append(va)
-        obs_b.append(vb)
-        diff = max(diff, abs(va - vb))
-    rate = failures / n
-    if rate > 0.5:
-        raise ExperimentDegenerate(f"factorization failure rate {rate:.2f} > 0.5")
-    if np.array_equal(obs_a, obs_b):
-        ks, p = 0.0, 1.0
-    else:
-        res = stats.ks_2samp(obs_a, obs_b)
-        ks, p = float(res.statistic), float(res.pvalue)
-    return InvarianceReport(ks=ks, pvalue=p, n_effective=len(obs_a),
-                            failure_rate=rate, max_per_sample_diff=diff)
+    obs = _OBSERVABLES[observable]
+
+    def draw(i):
+        g = synthesize(sample_coords(spec, np.random.default_rng([int(seed), i])))
+        va = obs(g, g.band_width + 4)
+        g2 = second(g, i)
+        return va, obs(g2, g2.band_width + 4)
+
+    pairs, rate = _collect(n, draw)
+    ks, p = _ks_two_sample(*zip(*pairs))
+    diff = max(abs(va - vb) for va, vb in pairs)
+    return InvarianceReport(ks=ks, pvalue=p, n_effective=len(pairs),
+                            failure_rate=rate, max_per_sample_diff=float(diff))
 
 
 def invariance_experiment(spec: MeasureSpec, h: LaurentLoop | None,
@@ -260,22 +253,25 @@ def invariance_experiment(spec: MeasureSpec, h: LaurentLoop | None,
     Passing spec_b (and h=None) runs the power control instead: stream two
     is sampled from the second measure and must be distinguishable.
     """
-    def transform(g):
-        # exact: no truncation, the product band is the sum of the factors'
-        return multiply(h, g)
-
     if spec_b is not None:
-        return _paired_experiment(spec, None, observable, n, seed, spec_b=spec_b)
-    if h is None:
+        def second(g, i):
+            return synthesize(sample_coords(
+                spec_b, np.random.default_rng([int(seed), i, 1])))
+    elif h is None:
         raise InvalidInput("need a translating loop h (or spec_b)")
-    return _paired_experiment(spec, transform, observable, n, seed)
+    else:
+        def second(g, i):
+            # exact: no truncation, the product band is the sum of the factors'
+            return multiply(h, g)
+
+    return _paired_experiment(spec, second, observable, n, seed)
 
 
 def reparam_invariance_experiment(spec: MeasureSpec, a: complex, b: complex,
                                   observable: str, n: int,
                                   seed: int = 0) -> InvarianceReport:
     """Mobius reparameterization invariance check: law of g vs g o sigma^-1."""
-    def transform(g):
+    def second(g, i):
         return mobius_reparam(g, a, b, band_out=g.band_width)
 
-    return _paired_experiment(spec, transform, observable, n, seed)
+    return _paired_experiment(spec, second, observable, n, seed)

@@ -142,6 +142,15 @@ def test_exponent_table_invalid_level():
         exponent_table(rs2, seq2, F(0), 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level", [float("inf"), float("-inf"), float("nan")])
+def test_exponent_table_non_finite_level(level):
+    rs = build_root_system("A1")
+    seq = build_periodic_sequence(rs, (1,), horizon=4)
+    with pytest.raises(InvalidLevel):
+        exponent_table(rs, seq, level, 4)
+
+
 def test_period_must_be_strictly_dominant():
     rs = build_root_system("B2")
     with pytest.raises(InvalidInput):

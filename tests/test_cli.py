@@ -118,6 +118,14 @@ def test_affine_invalid_level_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("level", ["inf", "nan"])
+def test_affine_non_finite_level_usage_error(capsys, level):
+    rc, _, err = _run(capsys, ["affine", "--type", "A", "--rank", "1",
+                               "--level", level, "--horizon", "2"])
+    assert rc == 1
+    assert "usage error" in err
+
+
 def test_invariance_identity_mode(capsys):
     rc, out, _ = _run(capsys, ["invariance", "--mode", "identity", "--n", "10",
                                "--truncation", "6", "--seed", "0"])

@@ -30,6 +30,16 @@ def test_nan_level_rejected():
         MeasureSpec.su2(float("nan"), 4)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_level_rejected(level):
+    with pytest.raises(InvalidLevel):
+        MeasureSpec.su2(level, 4)
+    with pytest.raises(InvalidLevel):
+        MeasureSpec(level=level, truncation=1, eta_exponents=[2.0],
+                    chi_rates=[4.0], zeta_exponents=[2.0])
+
+
 def test_nonintegrable_exponent_rejected():
     with pytest.raises(InvalidInput):
         MeasureSpec(level=0.0, truncation=1, eta_exponents=[2.0],
@@ -127,6 +137,15 @@ def test_density_ratio_identity():
 def test_hellinger_chi_zero():
     spec = MeasureSpec.su2(0.0, 8)
     assert hellinger_vs_gaussian(spec, 3, "chi") == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", [2.5, 2.0, True, None])
+def test_hellinger_non_integer_index_rejected(index):
+    spec = MeasureSpec.su2(0.0, 8)
+    for kind in ("eta", "zeta", "chi"):
+        with pytest.raises(InvalidInput):
+            hellinger_vs_gaussian(spec, index, kind)
 
 
 def test_hellinger_eta0_positive():

@@ -222,6 +222,13 @@ def test_level_validated():
         coords(level=-1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_level_rejected(level):
+    with pytest.raises(InvalidLevel):
+        coords(level=level)
+
+
 def test_nan_eta_rejected():
     with pytest.raises(InvalidInput):
         coords(eta=[0.1, np.nan])

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from looplab.errors import InvalidInput
-from looplab.loops import evaluate, from_coeff_dict, unitarity_defect
-from looplab.measures import MeasureSpec
-from looplab.wiener import (WienerConfig, _pinned_walk, eta0_pushforward_experiment,
+from looplab.errors import (ExperimentDegenerate, InvalidInput, LooplabError,
+                            NotInTopStratum)
+from looplab.factorization import _solve_hardy_columns, triangular_factor
+from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict, star,
+                           unitarity_defect)
+from looplab.measures import MeasureSpec, sample_coords
+from looplab.rootsub import (log_product_formula, recover_coords, recover_eta0,
+                             synthesize)
+from looplab.wiener import (_OBSERVABLES, WienerConfig, _collect, _ks_two_sample,
+                            _pinned_walk, eta0_pushforward_experiment,
                             invariance_experiment, reparam_invariance_experiment,
                             sample_brownian_loop)
 
@@ -138,3 +144,101 @@ def test_unknown_observable():
     h = from_coeff_dict({0: np.eye(2)})
     with pytest.raises(InvalidInput):
         invariance_experiment(spec, h, "bogus", 5, seed=0)
+
+
+def _synthesized_draws():
+    """(coords, loop) for three draws at each truncation 12, 24 and level 0, 1."""
+    for truncation in (12, 24):
+        for level in (0.0, 1.0):
+            spec = MeasureSpec.su2(level, truncation)
+            for j in range(3):
+                c = sample_coords(spec, np.random.default_rng([41, truncation,
+                                                               int(level), j]))
+                yield c, synthesize(c)
+
+
+def test_observables_match_independent_routes():
+    for c, g in _synthesized_draws():
+        M = g.band_width + 4
+        a0 = _OBSERVABLES["a0"](g, M)
+        assert abs(a0 - triangular_factor(g, 2 * g.band_width).a0) <= 1e-10
+        # a0 is read from g0 normalized to determinant 1: blind to a scalar
+        g2 = LaurentLoop(2, g.n_min, g.n_max, 2.0 * g.coeffs)
+        assert abs(_OBSERVABLES["a0"](g2, M) - a0) <= 1e-10
+        assert abs(a0 - np.exp(0.5 * log_product_formula(c, "a0sq"))) <= 1e-10
+        assert abs(_OBSERVABLES["abs_eta0"](g, M) - abs(c.eta[0])) <= 1e-10
+        assert abs(_OBSERVABLES["abs_zeta1"](g, M) - abs(c.zeta[0])) <= 1e-10
+
+
+def _rotation_plus_z(eps):
+    """R + 0.1 z with R the rotation whose (1,1) entry is sin(eps): g0 = R,
+    and eps = 0 gives J + 0.1 z with J = [[0, 1], [-1, 0]]."""
+    c, s = np.sin(eps), np.cos(eps)
+    return from_coeff_dict({0: np.array([[c, s], [-s, c]], dtype=complex),
+                            1: 0.1 * np.eye(2)})
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13])
+def test_one_top_stratum_rule_for_every_hardy_read_out(eps):
+    # (g0)_11 = sin(eps) is below 1e-12 of the largest entry: no Hardy read-out
+    # exists; at eps = 0, abs_zeta1 used to return 0.1
+    g = _rotation_plus_z(eps)
+    for obs in _OBSERVABLES.values():
+        with pytest.raises(NotInTopStratum):
+            obs(g, g.band_width + 4)
+    with pytest.raises(NotInTopStratum):
+        recover_eta0(g)
+    with pytest.raises(NotInTopStratum):
+        recover_coords(g)
+
+
+def test_top_stratum_rule_admits_a_small_entry_above_it():
+    g = _rotation_plus_z(1e-11)
+    for obs in _OBSERVABLES.values():
+        assert np.isfinite(obs(g, g.band_width + 4))
+    assert np.isfinite(recover_eta0(g))
+
+
+def _eta0_constant_block(g, M):
+    """recover_eta0 as it read the constant block before the eta peel did."""
+    H = _solve_hardy_columns(star(g), M)[0]
+    return complex(np.conj(H[0, 1] / H[1, 1]))
+
+
+def test_recover_eta0_is_the_constant_block_formula_bitwise():
+    for c, g in _synthesized_draws():
+        for M in (None, g.band_width + 4):
+            ref = _eta0_constant_block(g, max(g.band_width, 8) if M is None else M)
+            assert recover_eta0(g, M=M) == ref
+
+
+def test_collect_counts_failures():
+    def draw(i):
+        if i % 3 == 0:
+            raise LooplabError("failed draw")
+        return i
+
+    assert _collect(10, draw) == ([1, 2, 4, 5, 7, 8], 0.4)
+    assert _collect(10, lambda i: draw(0) if i < 5 else i) == ([5, 6, 7, 8, 9], 0.5)
+    with pytest.raises(ExperimentDegenerate):
+        _collect(10, lambda i: draw(0) if i < 6 else i)
+
+
+def test_ks_two_sample_at_one_step_is_exact_one():
+    # interleaved samples reach D = 1/n, whose p-value is exactly 1
+    n = 30
+    a = np.arange(n, dtype=float)
+    assert _ks_two_sample(a, a + 0.5) == (1.0 / n, 1.0)
+    assert _ks_two_sample(a, a[::-1]) == (0.0, 1.0)
+    # one step further, D = 2/n, scipy's exact routine succeeds
+    res = stats.ks_2samp(a, a + 1.5)
+    assert res.statistic == 2.0 / n
+    assert _ks_two_sample(a, a + 1.5) == (res.statistic, res.pvalue)
+
+
+@pytest.mark.parametrize("n", [40, 300, 10001])
+def test_ks_two_sample_matches_scipy_default(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n) + 0.1
+    res = stats.ks_2samp(a, b)
+    assert _ks_two_sample(a, b) == (res.statistic, res.pvalue)
