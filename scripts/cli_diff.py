@@ -26,12 +26,16 @@ from bench_pairs import ROOT, export_revision
 # that reaches different code
 COMMANDS = (
     "sample --level 0 --truncation 16 --n 10 --seed 3",
+    "sample --general A2 --truncation 8 --n 3 --seed 3",
     "identities --level 0 --m 64 --trials 8 --seed 7",
     "roundtrip --level 0 --trials 6 --seed 5",
     "diag --level 0 --lambda 1 --n 100000 --truncation 512 --seed 7",
     "diag --level 0 --lambda 0.5 --lambda 1 --lambda 2 --n 100000 --truncation 512 --seed 7",
     "affine --type A --rank 1 --level 0 --horizon 16",
     "affine --type A --rank 2 --level 0 --horizon 8",
+    "affine --type B --rank 2 --level 1 --horizon 4",
+    "affine --type G --rank 2 --level 2 --horizon 3",
+    "affine --type A --rank 3 --level 0 --horizon 2",
     "wiener --n 40 --seed 3",
     "wiener --n 40 --seed 3 --reference-level 0",
     "invariance --mode translate --truncation 16 --n 100 --seed 7",

@@ -213,10 +213,6 @@ class AffineRoot:
     q: int
     beta: tuple
 
-    @property
-    def imaginary(self) -> bool:
-        return all(c == 0 for c in self.beta)
-
     def is_positive(self, rs: RootSystem) -> bool:
         if self.q > 0:
             return True
@@ -340,14 +336,19 @@ def default_period(rs: RootSystem):
     return tuple(int(f * mult) for f in x)
 
 
-def _generic_basepoint(rs: RootSystem, tau: Fraction):
-    """A point strictly inside the fundamental alcove with no arithmetic
-    coincidences: alpha_i values proportional to 1 + i*tau, scaled so that
-    theta evaluates to 1/2."""
+def _generic_basepoints(rs: RootSystem):
+    """Points strictly inside the fundamental alcove, scaled so that theta
+    evaluates to 1/2, with alpha_i values proportional to 1 + (i+1)*tau and
+    then, as the linear family has arithmetic coincidences from rank 3 on,
+    to 1 + tau^(i+1)."""
     r = rs.rank
-    raw = [1 + (i + 1) * tau for i in range(r)]
-    S = 2 * sum(Fraction(rs.theta[i]) * raw[i] for i in range(r))
-    return tuple(raw[i] / S for i in range(r))
+    for power in (False, True):
+        for tau_denom in (97, 101, 103, 107, 109):
+            tau = Fraction(1, tau_denom)
+            raw = [1 + (tau ** (i + 1) if power else (i + 1) * tau)
+                   for i in range(r)]
+            S = 2 * sum(Fraction(rs.theta[i]) * raw[i] for i in range(r))
+            yield tuple(raw[i] / S for i in range(r))
 
 
 def build_periodic_sequence(rs: RootSystem, period, horizon: int) -> ReducedSequence:
@@ -368,8 +369,7 @@ def build_periodic_sequence(rs: RootSystem, period, horizon: int) -> ReducedSequ
     if any(v <= 0 for v in lam):
         raise InvalidInput("period must be strictly dominant "
                            "(all simple-root values positive)")
-    for tau_denom in (97, 101, 103, 107, 109):
-        x0 = _generic_basepoint(rs, Fraction(1, tau_denom))
+    for x0 in _generic_basepoints(rs):
         t_end = max((Fraction(horizon + 1) - rs.pairing(b, x0))
                     / rs.pairing(b, lam) for b in rs.positive_roots)
         events = []

@@ -14,8 +14,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zgesv
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum
-from .loops import (LaurentLoop, default_grid_size, evaluate, from_coeff_dict,
-                    multiply)
+from .loops import LaurentLoop, default_grid_size, evaluate, multiply
 
 __all__ = [
     "ToeplitzBlock",
@@ -42,9 +41,6 @@ class ToeplitzBlock:
     Shifted: the constant e_2 mode is dropped from rows and columns.
     """
 
-    loop: LaurentLoop = field(repr=False)
-    cutoff: int
-    shifted: bool
     matrix: np.ndarray = field(repr=False)
 
 
@@ -69,18 +65,14 @@ def toeplitz(g: LaurentLoop, M: int, shifted: bool = False) -> ToeplitzBlock:
         keep = np.ones(A.shape[0], dtype=bool)
         keep[1] = False
         A = A[np.ix_(keep, keep)]
-    return ToeplitzBlock(g, M, shifted, A)
+    return ToeplitzBlock(A)
 
 
 def log_det_AstarA(T: ToeplitzBlock) -> float:
-    """log det(A* A) as twice the sum of log singular values of A.
-
-    Exactly singular truncations return -inf (flagged sentinel value).
+    """log det(A* A) = 2 log |det A|, read off the LU of A (the factorization
+    the Hardy solve uses).  Exactly singular truncations return -inf.
     """
-    s = np.linalg.svd(T.matrix, compute_uv=False)
-    if s[-1] == 0.0:
-        return -np.inf
-    return float(2.0 * np.sum(np.log(s)))
+    return float(2.0 * np.linalg.slogdet(T.matrix)[1])
 
 
 def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
@@ -190,7 +182,6 @@ class TriangularFactors:
     a: np.ndarray
     u: LaurentLoop
     residual: float
-    g0: np.ndarray = field(repr=False)
 
     @property
     def m0(self) -> complex:
@@ -204,9 +195,9 @@ class TriangularFactors:
 def triangular_factor(g: LaurentLoop, M: int) -> TriangularFactors:
     g_minus, g0, g_plus, res = birkhoff_factor(g, M)
     ldot, m, a, udot = ldu_2x2(g0)
-    l = multiply(g_minus, from_coeff_dict({0: ldot}, g.dim))
-    u = multiply(from_coeff_dict({0: udot}, g.dim), g_plus)
-    return TriangularFactors(l=l, m=m, a=a, u=u, residual=res, g0=g0)
+    l = LaurentLoop(g.dim, g_minus.n_min, 0, g_minus.coeffs @ ldot)
+    u = LaurentLoop(g.dim, 0, g_plus.n_max, udot @ g_plus.coeffs)
+    return TriangularFactors(l=l, m=m, a=a, u=u, residual=res)
 
 
 def a0_from_dets(g: LaurentLoop, M: int) -> float:

@@ -34,7 +34,7 @@ class LaurentLoop:
     """Finite Laurent series z -> sum_n coeffs[n] z^n with matrix coefficients.
 
     ``coeffs`` has shape (n_max - n_min + 1, dim, dim); index 0 holds the
-    coefficient of z^{n_min}.
+    coefficient of z^{n_min}.  Non-finite coefficients raise InvalidInput.
     """
 
     dim: int
@@ -50,6 +50,8 @@ class LaurentLoop:
             raise InvalidInput(
                 f"coefficient array has shape {self.coeffs.shape}, expected {expected}"
             )
+        if not np.isfinite(self.coeffs).all():
+            raise InvalidInput("loop has non-finite coefficients")
         self.coeffs.setflags(write=False)
 
     def coeff(self, n: int) -> np.ndarray:
@@ -104,11 +106,6 @@ def from_coeff_dict(coeffs: dict, dim: int = 2) -> LaurentLoop:
     return LaurentLoop(dim, n_min, n_max, arr)
 
 
-# modes per product in multiply: larger ones get split over threads by the
-# BLAS, which costs more than it saves at these sizes
-_ROW_CHUNK = 1024
-
-
 def multiply(g: LaurentLoop, h: LaurentLoop) -> LaurentLoop:
     """Pointwise product gh; coefficients are the convolution of the inputs."""
     if g.dim != h.dim:
@@ -117,27 +114,18 @@ def multiply(g: LaurentLoop, h: LaurentLoop) -> LaurentLoop:
     n_min = g.n_min + h.n_min
     n_max = g.n_max + h.n_max
     out = np.zeros((n_max - n_min + 1, d, d), dtype=complex)
-    # convolve (out[i+j] += g[i] @ h[j]), looping over the nonzero modes of
-    # the sparser factor so long products of subgroup factors stay cheap
-    nz_g = np.flatnonzero((g.coeffs != 0).reshape(g.coeffs.shape[0], -1).any(axis=1))
-    nz_h = np.flatnonzero((h.coeffs != 0).reshape(h.coeffs.shape[0], -1).any(axis=1))
-    if len(nz_h) <= len(nz_g):
-        # g[i] @ h[j] for all i at once: stacking the rows of g into one
-        # (rows x d) @ (d x d) product gives the same entries, bit for bit,
-        # as the batch of d x d products, at one BLAS call per chunk
+    # convolve (out[i+j] += g[i] @ h[j]) with one product per mode of the
+    # factor with fewer modes
+    n_g, n_h = g.coeffs.shape[0], h.coeffs.shape[0]
+    if n_h <= n_g:
+        # the rows of g stacked into one (rows x d) @ (d x d) product give
+        # the same entries, bit for bit, as the batch of d x d products
         rows = g.coeffs.reshape(-1, d)
-        n_g = g.coeffs.shape[0]
-        step = min(n_g, _ROW_CHUNK)
-        prod = np.empty((step * d, d), dtype=complex)
-        for j in nz_h:
-            for s in range(0, n_g, step):
-                e = min(s + step, n_g)
-                blk = prod[:(e - s) * d]
-                np.matmul(rows[s * d:e * d], h.coeffs[j], out=blk)
-                out[j + s:j + e] += blk.reshape(-1, d, d)
+        for j in range(n_h):
+            out[j:j + n_g] += (rows @ h.coeffs[j]).reshape(-1, d, d)
     else:
-        for i in nz_g:
-            out[i:i + h.coeffs.shape[0]] += g.coeffs[i] @ h.coeffs
+        for i in range(n_g):
+            out[i:i + n_h] += g.coeffs[i] @ h.coeffs
     return LaurentLoop(d, n_min, n_max, out)
 
 
@@ -194,8 +182,10 @@ def fourier_project(samples: np.ndarray, n_min: int, n_max: int) -> LaurentLoop:
         raise InvalidInput(
             f"grid of {n_grid} points cannot resolve band [{n_min}, {n_max}]")
     dim = samples.shape[1]
-    # c_n = (1/N) sum_k samples_k exp(-2 pi i n k / N)
-    spec = np.fft.fft(samples, axis=0) / n_grid
+    # c_n = (1/N) sum_k samples_k exp(-2 pi i n k / N); non-finite samples
+    # give non-finite coefficients, which LaurentLoop rejects
+    with np.errstate(invalid="ignore"):
+        spec = np.fft.fft(samples, axis=0) / n_grid
     arr = spec[np.arange(n_min, n_max + 1) % n_grid]
     return LaurentLoop(dim, n_min, n_max, arr)
 
@@ -215,8 +205,13 @@ def unitarity_defect(g: LaurentLoop, n_grid: int | None = None) -> float:
     return float(np.abs(prod).max())
 
 
-def mobius_check(a: complex, b: complex, tol: float = 1e-9) -> None:
-    if abs(abs(a) ** 2 - abs(b) ** 2 - 1.0) > tol:
+# largest | |a|^2 - |b|^2 - 1 | mobius_check accepts
+_MOBIUS_TOL = 1e-9
+
+
+def mobius_check(a: complex, b: complex) -> None:
+    # written so that NaN (and inf - inf) fails the test
+    if not abs(abs(a) ** 2 - abs(b) ** 2 - 1.0) <= _MOBIUS_TOL:
         raise InvalidInput(
             "Mobius parameters must satisfy |a|^2 - |b|^2 = 1 (circle-preserving)")
 

@@ -53,6 +53,7 @@ class MeasureSpec:
     @classmethod
     def su2(cls, level: float, truncation: int) -> "MeasureSpec":
         check_level(level)
+        check_count("truncation", truncation, 1)
         s = level + 2.0
         i = np.arange(truncation)
         j = np.arange(1, truncation + 1)

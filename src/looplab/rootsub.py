@@ -293,14 +293,12 @@ def recover_coords(g: LaurentLoop, l_hint: float = 0.0) -> RootCoordsSU2:
     Contract: for g = synthesize(c) with support <= 8 and moduli <= 0.5,
     the result matches c to 1e-8 per coordinate.  Coordinates of modulus at
     or below the noise floor 1e-9 are returned as zero and trailing zeros
-    dropped: the arrays have the support length of c.  Raises InvalidInput
-    for a loop with non-finite coefficients, NotInTopStratum outside the top
-    stratum (_hardy_columns) and ConvergenceFailure when the resynthesized
-    loop misses g by more than 1e-8 on the grid, with the Hardy cutoff
-    M = max(2 * band width, 32) and again with 2M.
+    dropped: the arrays have the support length of c.  Raises
+    NotInTopStratum outside the top stratum (_hardy_columns) and
+    ConvergenceFailure when the resynthesized loop misses g by more than
+    1e-8 on the grid, with the Hardy cutoff M = max(2 * band width, 32) and
+    again with 2M.
     """
-    if not np.isfinite(g.coeffs).all():
-        raise InvalidInput("loop has non-finite coefficients")
     tol = 1e-8
     M = max(2 * g.band_width, 32)
     last_res = np.inf
@@ -320,8 +318,6 @@ def recover_eta0(g: LaurentLoop, M: int | None = None) -> complex:
     """Fast path for eta_0 alone: the first step of the eta peel, one Hardy
     solve of star(g).  eta_0 = conj of the (1,2)/(2,2) ratio of its constant
     block."""
-    if not np.isfinite(g.coeffs).all():
-        raise InvalidInput("loop has non-finite coefficients")
     if M is None:
         M = max(g.band_width, 8)
     return complex(_peel(*_eta_columns(g, M), [0])[0])

@@ -15,7 +15,8 @@ import numpy as np
 from scipy import stats
 
 from .errors import ExperimentDegenerate, InvalidInput, LooplabError
-from .loops import LaurentLoop, fourier_project, mobius_reparam, multiply
+from .loops import (LaurentLoop, fourier_project, mobius_check,
+                    mobius_reparam, multiply)
 from .measures import MeasureSpec, sample_coords
 from .rootsub import _hardy_columns, _peel, _zeta_columns, recover_eta0, synthesize
 
@@ -271,6 +272,8 @@ def reparam_invariance_experiment(spec: MeasureSpec, a: complex, b: complex,
                                   observable: str, n: int,
                                   seed: int = 0) -> InvarianceReport:
     """Mobius reparameterization invariance check: law of g vs g o sigma^-1."""
+    mobius_check(a, b)
+
     def second(g, i):
         return mobius_reparam(g, a, b, band_out=g.band_width)
 

@@ -83,8 +83,11 @@ def test_a1_tau_sequence_closed_form():
     assert [(t.q, t.beta) for t in taus] == [(k, (-1,)) for k in range(1, 7)]
 
 
-@pytest.mark.parametrize("label,horizon", [("A1", 3), ("A2", 3), ("B2", 3),
-                                           ("G2", 3)])
+@pytest.mark.parametrize("label,horizon", [
+    ("A1", 3), ("A2", 3), ("B2", 3), ("G2", 3),
+    # rank >= 3 needs the second basepoint family of build_periodic_sequence
+    ("A3", 2), ("B3", 2), ("C3", 2), ("D4", 2), ("A4", 2), ("B4", 2),
+    ("D5", 1), ("F4", 1), ("E6", 1)])
 def test_tau_set_is_q_delta_minus_positive(label, horizon):
     rs = build_root_system(label)
     seq = build_periodic_sequence(rs, default_period(rs), horizon)

@@ -111,6 +111,14 @@ def test_affine_table_and_word(capsys):
     assert word["word"][:4] == [0, 1, 0, 1]
 
 
+def test_affine_rank_three(capsys):
+    rc, out, _ = _run(capsys, ["affine", "--type", "A", "--rank", "3",
+                               "--level", "0", "--horizon", "2"])
+    assert rc == 0
+    # A3 has 6 positive roots: 6 zeta rows per delta-coefficient
+    assert sum(l.startswith("zeta,") for l in out.splitlines()) == 12
+
+
 def test_affine_invalid_level_usage_error(capsys):
     rc, _, err = _run(capsys, ["affine", "--type", "B", "--rank", "2",
                                "--level", "0", "--horizon", "2"])

@@ -5,6 +5,7 @@ from looplab.errors import ConvergenceFailure, InvalidInput, NotInTopStratum
 from looplab.factorization import (a0_from_dets, birkhoff_factor, ldu_2x2,
                                    log_det_AstarA, toeplitz, triangular_factor)
 from looplab.loops import evaluate, from_coeff_dict, identity_loop, multiply
+from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import RootCoordsSU2, synthesize
 
 E = np.array([], dtype=complex)
@@ -56,9 +57,28 @@ def test_winding_loop_determinant_decays():
     assert vals[0] > vals[1] > vals[2] or vals[2] == -np.inf
 
 
+@pytest.mark.filterwarnings("error")
 def test_log_det_singular_sentinel():
     g = from_coeff_dict({0: np.zeros((2, 2))})
     assert log_det_AstarA(toeplitz(g, 2)) == -np.inf
+
+
+def _log_det_svd_reference(T):
+    """log det(A* A) as twice the sum of log singular values of A."""
+    s = np.linalg.svd(T.matrix, compute_uv=False)
+    return -np.inf if s[-1] == 0.0 else float(2.0 * np.sum(np.log(s)))
+
+
+@pytest.mark.parametrize("level,truncation,seed", [(0.0, 12, 0), (1.0, 12, 1),
+                                                   (3.5, 24, 2), (0.0, 24, 3)])
+def test_log_det_matches_svd_reference(level, truncation, seed):
+    # synthesized draws; the last two give cutoffs M of about 250 and 320
+    c = sample_coords(MeasureSpec.su2(level, truncation),
+                      np.random.default_rng(seed))
+    g = synthesize(c).trimmed(1e-14)
+    for shifted in (False, True):
+        T = toeplitz(g, g.band_width, shifted=shifted)
+        assert abs(log_det_AstarA(T) - _log_det_svd_reference(T)) <= 1e-12
 
 
 def test_birkhoff_constant_loop():

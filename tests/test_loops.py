@@ -53,6 +53,45 @@ def test_multiply_dim_mismatch():
         multiply(g, h)
 
 
+def _convolve_reference(g, h):
+    """out[i + j] += g[i] @ h[j] over every pair of modes."""
+    n_g, n_h = g.coeffs.shape[0], h.coeffs.shape[0]
+    out = np.zeros((n_g + n_h - 1, g.dim, g.dim), dtype=complex)
+    for i in range(n_g):
+        for j in range(n_h):
+            out[i + j] += g.coeffs[i] @ h.coeffs[j]
+    return out
+
+
+def _sparse_loop(rng, n_min, n_max, modes):
+    c = _rand_loop(rng, n_min, n_max).coeffs.copy()
+    c[[n - n_min for n in range(n_min, n_max + 1) if n not in modes]] = 0
+    return LaurentLoop(2, n_min, n_max, c)
+
+
+@pytest.mark.parametrize("g_band,h_band", [((-2, 1), (-3, 4)),   # fewer in g
+                                           ((-3, 4), (-2, 1)),   # fewer in h
+                                           ((-2, 2), (0, 4))])   # a tie
+def test_multiply_matches_reference_convolution(g_band, h_band):
+    rng = np.random.default_rng(17)
+    for g, h in ((_rand_loop(rng, *g_band), _rand_loop(rng, *h_band)),
+                 (_sparse_loop(rng, *g_band, {g_band[0], 1}),
+                  _sparse_loop(rng, *h_band, {0, h_band[1]}))):
+        p = multiply(g, h)
+        assert (p.n_min, p.n_max) == (g.n_min + h.n_min, g.n_max + h.n_max)
+        np.testing.assert_allclose(p.coeffs, _convolve_reference(g, h),
+                                   rtol=0, atol=1e-13)
+
+
+def test_multiply_by_constant_matches_reference_bitwise():
+    rng = np.random.default_rng(23)
+    g = _rand_loop(rng, -5, 7)
+    c = _rand_loop(rng, 0, 0)
+    for p, q in ((g, c), (c, g)):
+        np.testing.assert_array_equal(multiply(p, q).coeffs,
+                                      _convolve_reference(p, q))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_multiply_associative(seed):
@@ -116,6 +155,19 @@ def test_band_must_contain_zero():
         LaurentLoop(2, 1, 3, np.zeros((3, 2, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_rejected(bad):
+    g = _rand_loop(np.random.default_rng(19))
+    coeffs = g.coeffs.copy()
+    coeffs[1, 0, 1] = bad
+    with pytest.raises(InvalidInput):
+        LaurentLoop(2, g.n_min, g.n_max, coeffs)
+    samples = evaluate(g, 16)
+    samples[3, 1, 0] = bad
+    with pytest.raises(InvalidInput):
+        fourier_project(samples, g.n_min, g.n_max)
+
+
 def test_coeffs_write_protected():
     g = identity_loop()
     with pytest.raises(ValueError):
@@ -125,6 +177,17 @@ def test_coeffs_write_protected():
 def test_mobius_check_rejects_non_circle():
     with pytest.raises(InvalidInput):
         mobius_check(1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,b", [(np.nan, 0.0), (1.0, np.nan),
+                                 (complex(1.0, np.nan), 0.0), (np.inf, 0.0),
+                                 (np.inf, np.inf), (1.0, -np.inf)])
+def test_mobius_check_rejects_non_finite(a, b):
+    with pytest.raises(InvalidInput):
+        mobius_check(a, b)
+    with pytest.raises(InvalidInput):
+        mobius_reparam(_zloop(), a, b)
 
 
 def test_mobius_identity():

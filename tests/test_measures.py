@@ -40,6 +40,12 @@ def test_non_finite_level_rejected(level):
                     chi_rates=[4.0], zeta_exponents=[2.0])
 
 
+@pytest.mark.parametrize("truncation", [2.5, -3, 0, True])
+def test_su2_truncation_must_be_a_positive_integer(truncation):
+    with pytest.raises(InvalidInput):
+        MeasureSpec.su2(0.0, truncation)
+
+
 def test_nonintegrable_exponent_rejected():
     with pytest.raises(InvalidInput):
         MeasureSpec(level=0.0, truncation=1, eta_exponents=[2.0],

@@ -136,6 +136,12 @@ def test_torus_chi0_must_be_imaginary():
         torus_loop(0.3, E, band=4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_torus_non_finite_chi_rejected(bad):
+    with pytest.raises(InvalidInput):
+        torus_loop(0j, np.array([0.1, bad]), band=8)
+
+
 def test_synthesize_zero_is_identity():
     g = synthesize(coords())
     vals = evaluate(g, 16)

@@ -129,6 +129,13 @@ def test_reparam_zero_samples_rejected():
                                       0.0, "a0", 0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,b", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)])
+def test_reparam_non_finite_mobius_rejected(a, b):
+    with pytest.raises(InvalidInput):
+        reparam_invariance_experiment(MeasureSpec.su2(0.0, 4), a, b, "a0", 3)
+
+
 def test_steep_chi_draw_is_kept():
     # this pair of truncation-24 draws holds one whose torus factor needs a
     # band above 256; a band-capped synthesis dropped it as failed
