@@ -23,7 +23,8 @@ from bench_pairs import ROOT, export_revision
 
 # one seeded run of every subcommand; diag once with several lambdas (one
 # set of draws for all), invariance and reparam once per mode or observable
-# that reaches different code
+# that reaches different code, and wiener once more on a short walk, whose
+# Hardy cutoff (16) exceeds its band (7)
 COMMANDS = (
     "sample --level 0 --truncation 16 --n 10 --seed 3",
     "sample --general A2 --truncation 8 --n 3 --seed 3",
@@ -38,6 +39,7 @@ COMMANDS = (
     "affine --type A --rank 3 --level 0 --horizon 2",
     "wiener --n 40 --seed 3",
     "wiener --n 40 --seed 3 --reference-level 0",
+    "wiener --steps 16 --n 20 --seed 3",
     "invariance --mode translate --truncation 16 --n 100 --seed 7",
     "invariance --observable abs_zeta1 --truncation 12 --n 100 --seed 7",
     "invariance --mode power --truncation 12 --n 100 --seed 7",

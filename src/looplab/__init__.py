@@ -17,7 +17,7 @@ from .factorization import (ToeplitzBlock, TriangularFactors, a0_from_dets,
                             toeplitz, triangular_factor)
 from .rootsub import (RootCoordsSU2, coords_max_error, log_product_formula,
                       product_formula, recover_coords, recover_eta0,
-                      synthesize, torus_loop)
+                      synthesize)
 from .measures import (GeneralCoords, MeasureSpec, hellinger_vs_gaussian,
                        log_density, sample_coords, sample_radial_sq)
 from .affine import (AffineRoot, ExponentTable, ReducedSequence, RootSystem,

@@ -19,7 +19,7 @@ from . import __version__
 from .affine import (build_periodic_sequence, build_root_system,
                      default_period, exponent_table)
 from .errors import InvalidInput, LooplabError
-from .factorization import a0_from_dets, log_det_AstarA, toeplitz
+from .factorization import log_det_AstarA, toeplitz
 from .loops import LaurentLoop, from_coeff_dict
 from .measures import MeasureSpec, sample_coords
 from .rootsub import (coords_max_error, log_product_formula, random_coords,

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zgesv
 
-from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum
+from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_count
 from .loops import LaurentLoop, default_grid_size, evaluate, multiply
 
 __all__ = [
@@ -45,15 +45,15 @@ class ToeplitzBlock:
 
 
 def toeplitz(g: LaurentLoop, M: int, shifted: bool = False) -> ToeplitzBlock:
-    if M < g.band_width:
-        raise InvalidInput(
-            f"cutoff M={M} below band width {g.band_width}: compression would "
-            "lose coefficients")
+    """The finite section of T(g) at the cutoff M, an integer >= 0 taken as
+    given: only the c_n with |n| <= M enter, whatever the band of g."""
+    check_count("M", M, 0)
     d = g.dim
-    # block (j, k) is c_{j-k}: lay the coefficients of the offsets M..-M out
-    # in one zero-padded array and read block row j as a sliding window
+    # block (j, k) is c_{j-k}: lay the c_n with |n| <= M out in one zero-padded
+    # array, rev[M - n] = c_n, and read block row j as a sliding window
+    lo, hi = max(g.n_min, -M), min(g.n_max, M)
     rev = np.zeros((2 * M + 1, d, d), dtype=complex)
-    rev[M - g.n_max:M - g.n_min + 1] = g.coeffs[::-1]      # rev[M - n] = c_n
+    rev[M - hi:M - lo + 1] = g.coeffs[lo - g.n_min:hi - g.n_min + 1][::-1]
     win = np.lib.stride_tricks.sliding_window_view(rev, M + 1, axis=0)
     A4 = win[M::-1]                        # (M+1, d, d, M+1): [j, a, b, k]
     # written straight into Fortran order, which LAPACK solves in place:
@@ -81,7 +81,7 @@ def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
     Returns X of shape (M+1, dim, dim).
     """
     d = g.dim
-    A = toeplitz(g, max(M, g.band_width), shifted=False).matrix
+    A = toeplitz(g, M, shifted=False).matrix
     E = np.zeros((A.shape[0], d), dtype=complex, order="F")
     E[:d, :d] = np.eye(d)
     # LU in place: no copy of the matrix beside the one toeplitz built
@@ -90,8 +90,7 @@ def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
         raise ConvergenceFailure(
             "block Toeplitz truncation is singular (loop outside the top "
             "stratum or nonzero winding)")
-    M_eff = A.shape[0] // d - 1
-    return X.reshape(M_eff + 1, d, d)[:M + 1]
+    return X.reshape(M + 1, d, d)
 
 
 def birkhoff_factor(g: LaurentLoop, M: int):
@@ -182,10 +181,6 @@ class TriangularFactors:
     a: np.ndarray
     u: LaurentLoop
     residual: float
-
-    @property
-    def m0(self) -> complex:
-        return complex(self.m[0, 0])
 
     @property
     def a0(self) -> float:

@@ -222,10 +222,6 @@ def mobius_apply(a: complex, b: complex, z: np.ndarray) -> np.ndarray:
     return (a * z + b) / (np.conj(b) * z + np.conj(a))
 
 
-def mobius_inverse(a: complex, b: complex) -> tuple[complex, complex]:
-    return np.conj(a), -b
-
-
 def mobius_reparam(g: LaurentLoop, a: complex, b: complex,
                    band_out: int | None = None) -> LaurentLoop:
     """Precompose g with the inverse of the Mobius map sigma = (a, b).
@@ -244,8 +240,8 @@ def mobius_reparam(g: LaurentLoop, a: complex, b: complex,
         return LaurentLoop(g.dim, g.n_min, g.n_max, arr).with_band(-band_out, band_out)
     n_grid = default_grid_size(band_out)
     w = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
-    ai, bi = mobius_inverse(a, b)
-    z = mobius_apply(ai, bi, w)
+    # sigma^-1 = (conj(a), -b)
+    z = mobius_apply(np.conj(a), -b, w)
     z /= np.abs(z)  # keep exactly on the circle against rounding
     samples = evaluate_at(g, z)
     return fourier_project(samples, -band_out, band_out)
@@ -266,10 +262,12 @@ def loop_to_json(g: LaurentLoop) -> str:
 
 def loop_from_json(text: str) -> LaurentLoop:
     obj = json.loads(text)
-    dim = obj["dim"]
-    n_min, n_max = obj["n_min"], obj["n_max"]
+    try:
+        dim, n_min, n_max, modes = (obj[k] for k in ("dim", "n_min", "n_max", "coeffs"))
+    except (KeyError, TypeError):
+        raise InvalidInput("loop JSON needs the keys dim, n_min, n_max, coeffs") from None
     arr = np.zeros((n_max - n_min + 1, dim, dim), dtype=complex)
-    for idx, flat in enumerate(obj["coeffs"]):
+    for idx, flat in enumerate(modes):
         vals = np.array([re + 1j * im for re, im in flat])
         arr[idx] = vals.reshape(dim, dim)
     return LaurentLoop(dim, n_min, n_max, arr)

@@ -70,6 +70,7 @@ class MeasureSpec:
         Coordinates are ordered by the table's own root ordering; only used
         for generic sampling and the A1-consistency check.
         """
+        check_count("truncation", truncation, 1)
         eta = [float(e) for (_, _, e) in table.eta_rows][:truncation]
         zeta = [float(e) for (_, _, e) in table.zeta_rows][:truncation]
         chi = [float(r) for (_, r) in table.chi_rates][:truncation]

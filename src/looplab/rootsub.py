@@ -15,12 +15,10 @@ from scipy.fft import next_fast_len
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_level
 from .factorization import _solve_hardy_columns
-from .loops import (LaurentLoop, default_grid_size, evaluate, fourier_project,
-                    star)
+from .loops import LaurentLoop, default_grid_size, evaluate, star
 
 __all__ = [
     "RootCoordsSU2",
-    "torus_loop",
     "synthesize",
     "product_formula",
     "log_product_formula",
@@ -29,8 +27,7 @@ __all__ = [
     "coords_max_error",
 ]
 
-# recover_coords' floor on recovered coordinates; torus_loop's default
-# aliasing tolerance
+# recover_coords' floor on recovered coordinates
 _NOISE_FLOOR = 1e-9
 # synthesize keeps the modes of its loop above this modulus
 _COEFF_FLOOR = 1e-14
@@ -70,32 +67,6 @@ def chi_values(chi0: complex, chi, n_grid: int) -> np.ndarray:
     chi = np.asarray(chi, dtype=complex)
     c = np.concatenate([-np.conj(chi[::-1]), [chi0], chi]).reshape(-1, 1, 1)
     return evaluate(LaurentLoop(1, -len(chi), len(chi), c), n_grid)[:, 0, 0]
-
-
-def torus_loop(chi0: complex, chi, band: int,
-               alias_tol: float = _NOISE_FLOOR) -> LaurentLoop:
-    """Diagonal loop diag(e^chi, e^-chi) projected to the given band.
-
-    The exponential is not band-limited; the projection error is measured on
-    a finer grid and ConvergenceFailure raised when it exceeds alias_tol.
-    """
-    if abs(complex(chi0).real) > 1e-12:
-        raise InvalidInput("chi0 must be purely imaginary")
-    n_grid = default_grid_size(band)
-    cv = np.exp(chi_values(chi0, chi, n_grid))
-    samples = np.zeros((n_grid, 2, 2), dtype=complex)
-    samples[:, 0, 0] = cv
-    samples[:, 1, 1] = 1.0 / cv
-    loop = fourier_project(samples, -band, band)
-    # aliasing probe on the doubled grid, whose odd points lie halfway
-    # between the points the projection saw
-    direct = np.exp(chi_values(chi0, chi, 2 * n_grid))
-    err = float(np.abs(evaluate(loop, 2 * n_grid)[:, 0, 0] - direct).max())
-    if err > alias_tol:
-        raise ConvergenceFailure(
-            f"torus projection aliasing error {err:.2e} > {alias_tol:.1e}; "
-            "increase band")
-    return loop
 
 
 def _synth_values(coords: RootCoordsSU2, n_grid: int) -> np.ndarray:
@@ -198,19 +169,17 @@ def product_formula(coords: RootCoordsSU2, which: str) -> float:
     return float(np.exp(log_product_formula(coords, which)))
 
 
-def random_coords(rng: np.random.Generator, level: float = 0.0,
-                  n_nonzero: int = 6, max_modulus: float = 0.5,
-                  max_index: int = 8) -> RootCoordsSU2:
-    """Random sparse test coordinates: at most n_nonzero entries spread over
-    the three families, indices <= max_index, moduli <= max_modulus."""
-    eta = np.zeros(max_index + 1, complex)
-    chi = np.zeros(max_index, complex)
-    zeta = np.zeros(max_index, complex)
+def random_coords(rng: np.random.Generator, level: float = 0.0) -> RootCoordsSU2:
+    """Random sparse test coordinates: at most 6 nonzero entries spread over
+    the three families, indices <= 8, moduli <= 0.5."""
+    eta = np.zeros(9, complex)
+    chi = np.zeros(8, complex)
+    zeta = np.zeros(8, complex)
     arrays = (eta, chi, zeta)
-    for _ in range(n_nonzero):
+    for _ in range(6):
         arr = arrays[rng.integers(0, 3)]
         idx = int(rng.integers(0, len(arr)))
-        r = max_modulus * (0.2 + 0.8 * rng.random())
+        r = 0.5 * (0.2 + 0.8 * rng.random())
         arr[idx] = r * np.exp(2j * np.pi * rng.random())
     chi0 = 1j * 2 * np.pi * rng.random()
     return RootCoordsSU2(level, eta, chi0, chi, zeta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ExperimentDegenerate, InvalidInput, LooplabError
+from .errors import ExperimentDegenerate, InvalidInput, LooplabError, check_count
 from .loops import (LaurentLoop, fourier_project, mobius_check,
                     mobius_reparam, multiply)
 from .measures import MeasureSpec, sample_coords
@@ -49,12 +49,10 @@ class WienerConfig:
     band: int | None = None
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:    # NaN fails too
             raise InvalidInput("beta must be positive")
-        if self.steps < 8:
-            raise InvalidInput("steps must be >= 8")
-        if self.n_samples < 1:
-            raise InvalidInput("n_samples must be >= 1")
+        check_count("steps", self.steps, 8)
+        check_count("n_samples", self.n_samples, 1)
 
     @property
     def band_eff(self) -> int:
@@ -260,6 +258,8 @@ def invariance_experiment(spec: MeasureSpec, h: LaurentLoop | None,
                 spec_b, np.random.default_rng([int(seed), i, 1])))
     elif h is None:
         raise InvalidInput("need a translating loop h (or spec_b)")
+    elif h.dim != 2:
+        raise InvalidInput(f"h must be a 2x2 loop, got dim {h.dim}")
     else:
         def second(g, i):
             # exact: no truncation, the product band is the sum of the factors'

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from looplab.errors import ConvergenceFailure, InvalidInput, NotInTopStratum
-from looplab.factorization import (a0_from_dets, birkhoff_factor, ldu_2x2,
-                                   log_det_AstarA, toeplitz, triangular_factor)
-from looplab.loops import evaluate, from_coeff_dict, identity_loop, multiply
+from looplab.factorization import (_solve_hardy_columns, a0_from_dets,
+                                   birkhoff_factor, ldu_2x2, log_det_AstarA,
+                                   toeplitz, triangular_factor)
+from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict,
+                           identity_loop, multiply)
 from looplab.measures import MeasureSpec, sample_coords
-from looplab.rootsub import RootCoordsSU2, synthesize
+from looplab.rootsub import RootCoordsSU2, recover_eta0, synthesize
 
 E = np.array([], dtype=complex)
 
@@ -25,7 +27,6 @@ def test_toeplitz_identity_is_identity():
 def test_toeplitz_block_structure():
     rng = np.random.default_rng(0)
     c = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-    from looplab.loops import LaurentLoop
     g = LaurentLoop(2, -2, 2, c)
     A = toeplitz(g, 4).matrix
     for j in range(5):
@@ -44,10 +45,56 @@ def test_toeplitz_shifted_constant_unitary():
     assert abs(np.exp(log_det_AstarA(T)) - abs(u[0, 0]) ** 2) < 1e-12
 
 
-def test_toeplitz_cutoff_too_small():
-    g = from_coeff_dict({3: np.eye(2), 0: np.eye(2)})
-    with pytest.raises(InvalidInput):
-        toeplitz(g, 2)
+def _block_reference(g, M, shifted):
+    """The finite section built block by block: block (j, k) = c_{j-k}."""
+    d = g.dim
+    A = np.zeros((d * (M + 1),) * 2, dtype=complex)
+    for j in range(M + 1):
+        for k in range(M + 1):
+            A[d * j:d * j + d, d * k:d * k + d] = g.coeff(j - k)
+    if shifted:
+        A = np.delete(np.delete(A, 1, axis=0), 1, axis=1)
+    return A
+
+
+# band [-3, 5]: M = 0, 2 cut both sides, M = 4 only the top, M = 5 is the
+# band width and M = 8 lies past it
+@pytest.mark.parametrize("M", [0, 2, 4, 5, 8])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_toeplitz_matches_block_reference(M, shifted):
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+    g = LaurentLoop(2, -3, 5, c)
+    np.testing.assert_array_equal(toeplitz(g, M, shifted=shifted).matrix,
+                                  _block_reference(g, M, shifted))
+
+
+def test_hardy_solve_below_band_is_the_finite_section_solve():
+    g = synthesize(RootCoordsSU2(0.0, np.array([0.3, 0.2j]), 0j,
+                                 np.array([0.1]), np.array([0.2 - 0.1j])))
+    M = g.band_width // 2
+    X = _solve_hardy_columns(g, M)
+    ref = np.linalg.solve(_block_reference(g, M, False), np.eye(2 * M + 2, 2))
+    assert X.shape == (M + 1, 2, 2)
+    assert np.abs(X.reshape(-1, 2) - ref).max() < 1e-12
+
+
+def _const_loop():
+    return from_coeff_dict({0: _su2_const(0.7)})
+
+
+@pytest.mark.parametrize("M", [2.5, np.nan, -1, True])
+@pytest.mark.parametrize("call", [
+    lambda g, M: toeplitz(g, M),
+    lambda g, M: toeplitz(g, M, shifted=True),
+    recover_eta0,
+    birkhoff_factor,
+    a0_from_dets,
+], ids=["toeplitz", "toeplitz_shifted", "recover_eta0", "birkhoff_factor",
+        "a0_from_dets"])
+def test_cutoff_must_be_a_count(call, M):
+    with pytest.raises(InvalidInput, match="M must be an integer >= 0"):
+        call(_const_loop(), M)
 
 
 def test_winding_loop_determinant_decays():
@@ -201,7 +248,7 @@ def test_triangular_factor_matches_det_route():
     M = max(48, g.band_width)
     tf = triangular_factor(g, M)
     assert abs(tf.a0 - a0_from_dets(g, M)) < 1e-6
-    assert abs(abs(tf.m0) - 1.0) < 1e-12
+    assert abs(abs(tf.m[0, 0]) - 1.0) < 1e-12
     prod = multiply(multiply(tf.l, from_coeff_dict({0: tf.m @ tf.a})), tf.u)
     n = 257
     assert np.abs(evaluate(prod, n) - evaluate(g, n)).max() < 1e-7

@@ -239,3 +239,12 @@ def test_json_roundtrip_bit_exact():
     # and the serialized form is valid JSON with the documented keys
     obj = json.loads(loop_to_json(g))
     assert set(obj) == {"dim", "n_min", "n_max", "coeffs"}
+
+
+@pytest.mark.parametrize("text", [
+    "{}", "[]", '{"dim": 2, "n_min": 0, "n_max": 0}',
+    '{"n_min": 0, "n_max": 0, "coeffs": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}',
+])
+def test_json_missing_keys_rejected(text):
+    with pytest.raises(InvalidInput, match="keys"):
+        loop_from_json(text)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import dblquad
+from scipy.integrate import quad
 
 from looplab.affine import (build_periodic_sequence, build_root_system,
                             default_period, exponent_table)
@@ -116,18 +116,18 @@ def test_log_density_zero_coords():
 def test_density_normalization_quadrature():
     # the single-eta factor of log_density integrates to 1 over the plane
     spec = MeasureSpec.su2(1.0, 1)
-    c0 = RootCoordsSU2(1.0, np.zeros(1, complex), 0j, np.zeros(0, complex),
-                       np.zeros(0, complex))
-    base = log_density(spec, c0)   # normalization constant at the origin
 
-    def dens(y, x):
-        c = RootCoordsSU2(1.0, np.array([x + 1j * y]), 0j,
-                          np.zeros(0, complex), np.zeros(0, complex))
+    def dens(w):
+        c = RootCoordsSU2(1.0, np.array([w]), 0j, np.zeros(0, complex),
+                          np.zeros(0, complex))
         return np.exp(log_density(spec, c))
 
     p = spec.eta_exponents[0]
-    assert abs(np.exp(base) - (p - 1) / np.pi) < 1e-12
-    val, err = dblquad(dens, -np.inf, np.inf, -np.inf, np.inf)
+    assert abs(dens(0j) - (p - 1) / np.pi) < 1e-12
+    # radial: equal at every phase of one radius, so integrate in polar form
+    ring = [dens(0.7 * np.exp(1j * t)) for t in np.linspace(0, 2 * np.pi, 7)]
+    np.testing.assert_allclose(ring, ring[0], rtol=1e-14)
+    val, err = quad(lambda r: 2 * np.pi * r * dens(complex(r)), 0, np.inf)
     assert abs(val - 1.0) < 1e-5
 
 
@@ -228,3 +228,12 @@ def test_a1_table_specialization_matches_su2():
     np.testing.assert_array_equal(spec.eta_exponents, ref.eta_exponents)
     np.testing.assert_array_equal(spec.zeta_exponents, ref.zeta_exponents)
     np.testing.assert_array_equal(spec.chi_rates, ref.chi_rates)
+
+
+@pytest.mark.parametrize("truncation", [2.5, -3, 0, True])
+def test_table_truncation_must_be_a_positive_integer(truncation):
+    rs = build_root_system("A2")
+    table = exponent_table(rs, build_periodic_sequence(rs, default_period(rs), 4),
+                           Fraction(0), 4)
+    with pytest.raises(InvalidInput, match="truncation"):
+        MeasureSpec.from_exponent_table(table, truncation)

@@ -5,13 +5,13 @@ from looplab import rootsub
 from looplab.errors import ConvergenceFailure, InvalidInput, InvalidLevel
 from looplab.factorization import a0_from_dets, log_det_AstarA, toeplitz
 from looplab.loops import (LaurentLoop, default_grid_size, evaluate,
-                           evaluate_at, from_coeff_dict, identity_loop,
-                           multiply, star, unitarity_defect)
+                           evaluate_at, fourier_project, from_coeff_dict,
+                           identity_loop, multiply, star, unitarity_defect)
 from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import (RootCoordsSU2, _above_floor, chi_values,
                              coords_max_error, log_product_formula,
                              product_formula, random_coords, recover_coords,
-                             recover_eta0, synthesize, torus_loop)
+                             recover_eta0, synthesize)
 
 E = np.array([], dtype=complex)
 
@@ -21,7 +21,7 @@ def coords(level=0.0, eta=E, chi0=0j, chi=E, zeta=E):
                          np.asarray(chi, complex), np.asarray(zeta, complex))
 
 
-# ---- reference k1, k2: exact coefficient products -----------------------------
+# ---- reference factors: k1, k2 from exact products, e^chi projected ---------
 
 def _factor(n: int, c: complex) -> LaurentLoop:
     """a [[1, -conj(c) z^n], [c z^-n, 1]] with a = (1 + |c|^2)^(-1/2): the
@@ -50,6 +50,29 @@ def k2_synthesize(zeta) -> LaurentLoop:
     for k in (np.flatnonzero(zeta)[::-1] + 1).tolist():
         g = multiply(g, _factor(-k, -np.conj(zeta[k - 1])))
     return g
+
+
+def torus_loop(chi0: complex, chi, band: int) -> LaurentLoop:
+    """diag(e^chi, e^-chi) projected to the band [-band, band].
+
+    The exponential is not band-limited; the projection error is measured on
+    a finer grid and ConvergenceFailure raised when it exceeds 1e-13.
+    """
+    if abs(complex(chi0).real) > 1e-12:
+        raise InvalidInput("chi0 must be purely imaginary")
+    n_grid = default_grid_size(band)
+    cv = np.exp(chi_values(chi0, chi, n_grid))
+    samples = np.zeros((n_grid, 2, 2), dtype=complex)
+    samples[:, 0, 0] = cv
+    samples[:, 1, 1] = 1.0 / cv
+    loop = fourier_project(samples, -band, band)
+    # aliasing probe on the doubled grid, whose odd points lie halfway
+    # between the points the projection saw
+    direct = np.exp(chi_values(chi0, chi, 2 * n_grid))
+    err = float(np.abs(evaluate(loop, 2 * n_grid)[:, 0, 0] - direct).max())
+    if err > 1e-13:
+        raise ConvergenceFailure(f"torus projection aliasing error {err:.2e}")
+    return loop
 
 
 # ---- synthesis ---------------------------------------------------------------
@@ -157,8 +180,7 @@ def _exact_synthesis(c):
     """star(k1) e^chi k2 from exact coefficient products, with the torus
     factor projected to a band far past its 1e-14 tail."""
     slope = float(np.sum(2 * np.arange(1, len(c.chi) + 1) * np.abs(c.chi)))
-    t = torus_loop(c.chi0, c.chi, 4 * len(c.chi) + int(8 * slope) + 64,
-                   alias_tol=1e-13)
+    t = torus_loop(c.chi0, c.chi, 4 * len(c.chi) + int(8 * slope) + 64)
     return multiply(multiply(star(k1_synthesize(c.eta)), t),
                     k2_synthesize(c.zeta))
 

@@ -17,10 +17,11 @@ from looplab.wiener import (_OBSERVABLES, WienerConfig, _collect, _ks_two_sample
 
 
 def test_config_validation():
-    with pytest.raises(InvalidInput):
-        WienerConfig(beta=0.0, steps=64, n_samples=1)
-    with pytest.raises(InvalidInput):
-        WienerConfig(beta=1.0, steps=4, n_samples=1)
+    for bad in (dict(beta=0.0), dict(beta=np.nan), dict(steps=4),
+                dict(steps=16.5), dict(steps=True), dict(n_samples=0),
+                dict(n_samples=2.0)):
+        with pytest.raises(InvalidInput):
+            WienerConfig(**{"beta": 1.0, "steps": 64, "n_samples": 1, **bad})
 
 
 def test_eta0_experiment_zero_samples_rejected():
@@ -144,6 +145,12 @@ def test_steep_chi_draw_is_kept():
     h = from_coeff_dict({0: np.array([[c, sn], [-sn, c]], dtype=complex)})
     rep = invariance_experiment(MeasureSpec.su2(0.0, 24), h, "a0", 2, seed=s)
     assert rep.n_effective == 2 and rep.failure_rate == 0.0
+
+
+def test_invariance_rejects_a_3x3_translation():
+    h = from_coeff_dict({0: np.eye(3)}, dim=3)
+    with pytest.raises(InvalidInput, match="2x2"):
+        invariance_experiment(MeasureSpec.su2(0.0, 4), h, "a0", 5, seed=0)
 
 
 def test_unknown_observable():
