@@ -37,6 +37,8 @@ COMMANDS = (
     "affine --type B --rank 2 --level 1 --horizon 4",
     "affine --type G --rank 2 --level 2 --horizon 3",
     "affine --type A --rank 3 --level 0 --horizon 2",
+    "affine --type F --rank 4 --level 3 --horizon 1",
+    "affine --type E --rank 6 --level 0 --horizon 1",
     "wiener --n 40 --seed 3",
     "wiener --n 40 --seed 3 --reference-level 0",
     "wiener --steps 16 --n 20 --seed 3",

@@ -2,7 +2,8 @@
 the exponent tables feeding the general product measure.
 
 Everything here is exact: roots are integer vectors in the simple-root
-basis, points and pairings are Fractions, and no floating point enters.
+basis, the affine Weyl group acts on them through integer matrices, points
+and pairings are Fractions, and no floating point enters.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (InvalidInput, InvalidLevel, NonReducedSequence,
-                     check_level)
+                     check_count, check_level)
 
 __all__ = [
     "RootSystem",
@@ -100,7 +103,10 @@ class RootSystem:
 
     Roots are integer coefficient tuples in the simple-root basis.  The
     bilinear form matrix is normalized so the highest root has squared
-    length 2.
+    length 2.  ``reflections[i]`` is the integer matrix of the simple affine
+    reflection r_i on the coordinates (q, beta) of q*delta + beta.  Entries
+    of a word's matrix grow with its horizon, far inside int64: at most 202
+    for A1 at horizon 200, 6 for E8 at horizon 2.
     """
 
     label: str
@@ -109,9 +115,11 @@ class RootSystem:
     positive_roots: tuple = field(repr=False)
     form: tuple = field(repr=False)    # form[i][j] = <alpha_i, alpha_j>
     theta: tuple
+    theta_vee: tuple                   # (alpha_j(h_theta))_j, integers
     rho: tuple                         # coefficients of rho-dot in simple roots
     comarks: tuple
     dual_coxeter: Fraction
+    reflections: np.ndarray = field(repr=False, compare=False)
 
     def pairing(self, beta, x):
         """beta(x) for x given by its simple-root values (alpha_i(x))_i."""
@@ -122,23 +130,9 @@ class RootSystem:
         return sum(Fraction(beta[i]) * self.form[i][j] * Fraction(gamma[j])
                    for i in range(self.rank) for j in range(self.rank))
 
-    def coroot_values(self, beta):
-        """(alpha_i(h_beta))_i, the value-coordinates of the coroot of beta."""
-        bb = self.inner(beta, beta)
-        return tuple(2 * self.inner(self._alpha(i), beta) / bb
-                     for i in range(self.rank))
-
     def rho_pairing(self, beta):
         """rho-dot(h_beta) = 2 <rho-dot, beta> / <beta, beta>."""
         return 2 * self.inner(self.rho, beta) / self.inner(beta, beta)
-
-    def _alpha(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.rank))
-
-    def reflect_root(self, i, beta):
-        """r_i(beta) = beta - beta(h_i) alpha_i."""
-        pair = sum(beta[j] * self.cartan[i][j] for j in range(self.rank))
-        return tuple(beta[j] - (pair if j == i else 0) for j in range(self.rank))
 
 
 def build_root_system(label: str) -> RootSystem:
@@ -147,21 +141,19 @@ def build_root_system(label: str) -> RootSystem:
     simple = [tuple(1 if j == i else 0 for j in range(rank))
               for i in range(rank)]
 
-    def reflect(i, beta):
-        pair = sum(beta[j] * A[i][j] for j in range(rank))
-        return tuple(beta[j] - (pair if j == i else 0) for j in range(rank))
+    # r_i (i >= 1): beta -> beta - beta(h_{i-1}) alpha_{i-1}, i.e. the
+    # identity with Cartan row i-1 subtracted from the row of beta_{i-1}
+    R = np.repeat(np.eye(rank + 1, dtype=np.int64)[None], rank + 1, axis=0)
+    nodes = np.arange(1, rank + 1)
+    R[nodes, nodes, 1:] -= np.array(A, dtype=np.int64)
 
     roots = set(simple)
     frontier = set(simple)
     while frontier:
-        new = set()
-        for beta in frontier:
-            for i in range(rank):
-                im = reflect(i, beta)
-                if im not in roots:
-                    new.add(im)
-        roots |= new
-        frontier = new
+        # row i of R[1:, 1:, 1:] @ beta is r_{i+1}(beta)
+        frontier = {tuple(im) for beta in frontier
+                    for im in (R[1:, 1:, 1:] @ beta).tolist()} - roots
+        roots |= frontier
     positive = sorted(b for b in roots if all(c >= 0 for c in b))
 
     # symmetrizer d_i with d_i A_ij = d_j A_ji, then scale so <theta,theta> = 2
@@ -186,23 +178,27 @@ def build_root_system(label: str) -> RootSystem:
     form = tuple(tuple(scale * form[i][j] for j in range(rank))
                  for i in range(rank))
 
-    rs = RootSystem(label=f"{family}{rank}", rank=rank,
-                    cartan=tuple(tuple(row) for row in A),
-                    positive_roots=tuple(positive),
-                    form=form, theta=theta, rho=(0,) * rank,
-                    comarks=(), dual_coxeter=Fraction(0))
+    # alpha_j(h_theta) = 2 <alpha_j, theta> / <theta, theta> = <alpha_j, theta>
+    theta_vee = [sum(f * t for f, t in zip(row, theta)) for row in form]
+    if any(v.denominator != 1 for v in theta_vee):
+        raise InvalidInput("non-integral coroot pairing")
+    theta_vee = tuple(int(v) for v in theta_vee)
+    # r_0: (q, beta) -> (q + beta(h_theta), beta - beta(h_theta) theta)
+    R[0, 0, 1:] = theta_vee
+    R[0, 1:, 1:] -= np.outer(theta, theta_vee)
+    R.setflags(write=False)
 
     # rho-dot = sum_i f_i alpha_i with rho(h_j) = sum_i f_i A[j][i] = 1
     rho = _solve_fraction(A, [1] * rank)
     # comarks c_j: sum_j c_j alpha_i(h_j) = alpha_i(h_theta), where
     # alpha_i(h_j) = A[j][i]
     P = [[A[j][i] for j in range(rank)] for i in range(rank)]
-    comarks = _solve_fraction(P, list(rs.coroot_values(theta)))
-    gdual = 1 + sum(comarks)
-    object.__setattr__(rs, "rho", rho)
-    object.__setattr__(rs, "comarks", comarks)
-    object.__setattr__(rs, "dual_coxeter", gdual)
-    return rs
+    comarks = _solve_fraction(P, theta_vee)
+    return RootSystem(label=f"{family}{rank}", rank=rank,
+                      cartan=tuple(tuple(row) for row in A),
+                      positive_roots=tuple(positive), form=form, theta=theta,
+                      theta_vee=theta_vee, rho=rho, comarks=comarks,
+                      dual_coxeter=1 + sum(comarks), reflections=R)
 
 
 @dataclass(frozen=True)
@@ -227,45 +223,6 @@ def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
     return AffineRoot(0, tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
 
 
-def _root_reflect_affine(rs: RootSystem, i: int, root: AffineRoot) -> AffineRoot:
-    """Action of the affine simple reflection r_i on real affine roots."""
-    if i >= 1:
-        return AffineRoot(root.q, rs.reflect_root(i - 1, root.beta))
-    # r_0: (q, beta) -> (q + beta(h_theta), r_theta(beta))
-    bh = sum(Fraction(b) * v
-             for b, v in zip(root.beta, rs.coroot_values(rs.theta)))
-    if bh.denominator != 1:
-        raise InvalidInput("non-integral coroot pairing")
-    bh = int(bh)
-    new_beta = tuple(root.beta[j] - bh * rs.theta[j] for j in range(rs.rank))
-    return AffineRoot(root.q + bh, new_beta)
-
-
-def _root_matrix(rs: RootSystem, i: int):
-    """The (rank+1) x (rank+1) integer matrix of r_i on (q, beta) vectors."""
-    r = rs.rank
-    cols = []
-    for b in range(r + 1):
-        if b == 0:
-            src = AffineRoot(1, (0,) * r)
-        else:
-            src = AffineRoot(0, tuple(1 if j == b - 1 else 0 for j in range(r)))
-        im = _root_reflect_affine(rs, i, src)
-        cols.append((im.q,) + tuple(im.beta))
-    return tuple(tuple(cols[b][a] for b in range(r + 1)) for a in range(r + 1))
-
-
-def _mat_mul(X, Y):
-    n = len(X)
-    return tuple(tuple(sum(X[a][c] * Y[c][b] for c in range(n))
-                       for b in range(n)) for a in range(n))
-
-
-def _mat_apply(X, v):
-    n = len(X)
-    return tuple(sum(X[a][c] * v[c] for c in range(n)) for a in range(n))
-
-
 def affine_weyl_apply(rs: RootSystem, word, x):
     """Apply the word of simple affine reflections (leftmost applied last)
     to a point x of the affine slice, given by its values (alpha_i(x))_i.
@@ -280,12 +237,11 @@ def affine_weyl_apply(rs: RootSystem, word, x):
 
 def _point_reflect(rs: RootSystem, i: int, x):
     if i >= 1:
+        # (alpha_j(h_{i-1}))_j is Cartan row i-1
         xi = x[i - 1]
-        hi_vals = rs.coroot_values(rs._alpha(i - 1))
-        return tuple(x[j] - xi * hi_vals[j] for j in range(rs.rank))
-    tv = rs.pairing(rs.theta, x)
-    ht = rs.coroot_values(rs.theta)
-    return tuple(x[j] + (1 - tv) * ht[j] for j in range(rs.rank))
+        return tuple(v - xi * a for v, a in zip(x, rs.cartan[i - 1]))
+    shift = 1 - rs.pairing(rs.theta, x)
+    return tuple(v + shift * t for v, t in zip(x, rs.theta_vee))
 
 
 @dataclass(frozen=True)
@@ -313,14 +269,10 @@ class ReducedSequence:
 
 
 def _dominant_values(rs: RootSystem, coroot_coeffs):
-    """Value-coordinates of lambda = sum c_j h_j."""
-    r = rs.rank
-    vals = [Fraction(0)] * r
-    for j, cj in enumerate(coroot_coeffs):
-        hj = rs.coroot_values(rs._alpha(j))
-        for a in range(r):
-            vals[a] += Fraction(cj) * hj[a]
-    return tuple(vals)
+    """Value-coordinates of lambda = sum c_j h_j, as alpha_a(h_j) = cartan[j][a]."""
+    return tuple(sum(Fraction(c) * row[a]
+                     for c, row in zip(coroot_coeffs, rs.cartan))
+                 for a in range(rs.rank))
 
 
 def default_period(rs: RootSystem):
@@ -362,6 +314,7 @@ def build_periodic_sequence(rs: RootSystem, period, horizon: int) -> ReducedSequ
     prefix built so far must land on a simple affine root, whose index is
     the next letter.
     """
+    check_count("horizon", horizon, 1)
     period = tuple(int(c) for c in period)
     if len(period) != rs.rank:
         raise InvalidInput("period must have one coroot coefficient per node")
@@ -387,16 +340,14 @@ def build_periodic_sequence(rs: RootSystem, period, horizon: int) -> ReducedSequ
         raise NonReducedSequence("could not find a tie-free basepoint")
 
     prefix = []
-    W = None     # root-action matrix of w_{j-1}
+    W = np.eye(rs.rank + 1, dtype=np.int64)     # root action of w_{j-1}
     for _, m, beta in events:
-        sigma = (m,) + tuple(-c for c in beta)
-        gamma = sigma if W is None else _mat_apply(W, sigma)
+        gamma = (W @ np.array((m, *(-c for c in beta)))).tolist()
         idx = _match_simple(rs, AffineRoot(gamma[0], tuple(gamma[1:])))
         if idx is None:
             raise NonReducedSequence(
                 f"crossing {m}*delta - {beta} did not map to a simple root")
-        R = _root_matrix(rs, idx)
-        W = R if W is None else _mat_mul(R, W)
+        W = rs.reflections[idx] @ W
         prefix.append(idx)
     L = int(sum(rs.pairing(beta, lam) for beta in rs.positive_roots))
     if len(prefix) < L:
@@ -406,14 +357,8 @@ def build_periodic_sequence(rs: RootSystem, period, horizon: int) -> ReducedSequ
 
 
 def _match_simple(rs: RootSystem, gamma: AffineRoot):
-    if gamma.q == 0:
-        for i in range(rs.rank):
-            if gamma.beta == rs._alpha(i):
-                return i + 1
-        return None
-    if gamma.q == 1 and gamma.beta == tuple(-c for c in rs.theta):
-        return 0
-    return None
+    return next((i for i in range(rs.rank + 1)
+                 if simple_affine_root(rs, i) == gamma), None)
 
 
 def tau_sequence(seq: ReducedSequence, horizon: int):
@@ -427,20 +372,19 @@ def tau_sequence(seq: ReducedSequence, horizon: int):
     n_pos = len(rs.positive_roots)
     limit = (horizon + 1) * seq.period_length + len(seq.prefix) + n_pos
     taus = []
-    Winv = None    # root-action matrix of w_{n-1}^{-1} = r_{i_1}...r_{i_{n-1}}
+    # root action of w_{n-1}^{-1} = r_{i_1}...r_{i_{n-1}}
+    Winv = np.eye(rs.rank + 1, dtype=np.int64)
     for n in range(1, limit + 1):
         i = seq.index(n)
         alpha = simple_affine_root(rs, i)
-        vec = (alpha.q,) + tuple(alpha.beta)
-        img = vec if Winv is None else _mat_apply(Winv, vec)
+        img = (Winv @ np.array((alpha.q, *alpha.beta))).tolist()
         tau = AffineRoot(img[0], tuple(img[1:]))
         if not tau.is_positive(rs):
             raise NonReducedSequence(
                 f"letter {n}: tau = {tau.q}*delta + {tau.beta} is negative")
         if tau.q <= horizon:
             taus.append(tau)
-        R = _root_matrix(rs, i)
-        Winv = R if Winv is None else _mat_mul(Winv, R)
+        Winv = Winv @ rs.reflections[i]
     return taus
 
 
@@ -464,22 +408,25 @@ class ExponentTable:
 def exponent_table(rs: RootSystem, seq: ReducedSequence, level,
                    horizon: int) -> ExponentTable:
     check_level(level)
+    check_count("horizon", horizon, 1)
     level = Fraction(level)
     g = rs.dual_coxeter
+    rho_h = [rs.rho_pairing(beta) for beta in rs.positive_roots]
+    # the zeta rows are q*delta - beta for every beta > 0 and 1 <= q <= horizon;
+    # as l + g > 0, their exponents 1 + (l+g)q - rho(h_beta) all exceed 1
+    # iff those at q = 1 do
+    bound = max(rho_h) - g
+    if not level > bound:
+        raise InvalidLevel(f"{rs.label} needs level > {bound}, got {level}")
     shift = level + g
     zeta_rows = []
     for tau in tau_sequence(seq, horizon):
         beta = tuple(-c for c in tau.beta)
         zeta_rows.append((tau.q, beta, 1 + shift * tau.q - rs.rho_pairing(beta)))
-    eta_rows = []
-    for q in range(0, horizon + 1):
-        for beta in rs.positive_roots:
-            eta_rows.append((q, beta, 1 + shift * q + rs.rho_pairing(beta)))
+    eta_rows = [(q, beta, 1 + shift * q + r)
+                for q in range(0, horizon + 1)
+                for beta, r in zip(rs.positive_roots, rho_h)]
     chi = tuple((j, shift * j) for j in range(1, horizon + 1))
-    table = ExponentTable(label=rs.label, level=level, gdual=g,
-                          zeta_rows=tuple(zeta_rows), eta_rows=tuple(eta_rows),
-                          chi_rates=chi)
-    for (_, _, e) in table.zeta_rows:
-        if e <= 1:
-            raise InvalidLevel(f"zeta exponent {e} <= 1 at level {level}")
-    return table
+    return ExponentTable(label=rs.label, level=level, gdual=g,
+                         zeta_rows=tuple(zeta_rows), eta_rows=tuple(eta_rows),
+                         chi_rates=chi)

@@ -261,13 +261,23 @@ def loop_to_json(g: LaurentLoop) -> str:
 
 
 def loop_from_json(text: str) -> LaurentLoop:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"loop JSON does not parse: {exc}") from None
     try:
         dim, n_min, n_max, modes = (obj[k] for k in ("dim", "n_min", "n_max", "coeffs"))
     except (KeyError, TypeError):
         raise InvalidInput("loop JSON needs the keys dim, n_min, n_max, coeffs") from None
-    arr = np.zeros((n_max - n_min + 1, dim, dim), dtype=complex)
-    for idx, flat in enumerate(modes):
-        vals = np.array([re + 1j * im for re, im in flat])
-        arr[idx] = vals.reshape(dim, dim)
-    return LaurentLoop(dim, n_min, n_max, arr)
+    if not all(isinstance(v, int) for v in (dim, n_min, n_max)) or dim < 1:
+        raise InvalidInput("loop JSON needs integers dim >= 1, n_min and n_max")
+    try:
+        arr = np.array([[re + 1j * im for re, im in flat] for flat in modes],
+                       dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInput("loop JSON modes must be lists of [re, im] pairs") from None
+    shape = (n_max - n_min + 1, dim * dim)
+    if arr.shape != shape:
+        raise InvalidInput(f"loop JSON needs {shape[0]} modes of {shape[1]} "
+                           f"[re, im] pairs, got shape {arr.shape[:2]}")
+    return LaurentLoop(dim, n_min, n_max, arr.reshape(-1, dim, dim))

@@ -136,6 +136,20 @@ def mc_diagonal_transform(spec: MeasureSpec, lam, n: int, seed: int = 0):
     return out if np.ndim(lam) else out[0]
 
 
+def _root_lambda_terms(rs, lam):
+    """<lam, a>/<a, a> for each positive root a, lam given by its
+    coefficients in the simple-root basis."""
+    _check_lambda(lam)
+    if np.shape(lam) != (rs.rank,):
+        raise InvalidInput(f"lambda needs {rs.rank} simple-root coefficients, "
+                           f"got {lam!r}")
+    lam = [float(v) for v in lam]
+    # <alpha_i, a> is row i of the form applied to a, exactly
+    return [sum(v * float(sum(f * b for f, b in zip(row, beta)))
+                for v, row in zip(lam, rs.form)) / float(rs.inner(beta, beta))
+            for beta in rs.positive_roots]
+
+
 def general_sine_formula(rs, l: float, lam) -> complex:
     """Product over positive roots of sin(c R_a) / sin(c (R_a - i L_a)) with
     c = pi/(l+g), R_a = rho(h_a) and L_a = <lam, a>/<a, a>.
@@ -144,16 +158,10 @@ def general_sine_formula(rs, l: float, lam) -> complex:
     invariant under rescaling the bilinear form.
     """
     check_level(l)
-    _check_lambda(lam)
-    g = float(rs.dual_coxeter)
-    c = np.pi / (l + g)
-    lam = [float(v) for v in lam]
+    c = np.pi / (l + float(rs.dual_coxeter))
     out = 1.0 + 0.0j
-    for beta in rs.positive_roots:
+    for beta, L in zip(rs.positive_roots, _root_lambda_terms(rs, lam)):
         R = float(rs.rho_pairing(beta))
-        bb = float(rs.inner(beta, beta))
-        L = sum(lam[i] * float(rs.inner(rs._alpha(i), beta))
-                for i in range(rs.rank)) / bb
         den = np.sin(c * (R - 1j * L))
         if abs(den) < 1e-300:
             raise DomainError(f"sine pole at root {beta}")
@@ -181,14 +189,9 @@ def finite_hc_check(lam: float, n: int, seed: int = 0) -> TransformResult:
 def hc_gamma_transform(rs, l: float, lam) -> complex:
     """Product over positive roots of Gamma(1 + (i pi/(l+g)) <lam,a>/<a,a>)."""
     check_level(l)
-    _check_lambda(lam)
     g = float(rs.dual_coxeter)
-    lam = [float(v) for v in lam]
     out = 1.0 + 0.0j
-    for beta in rs.positive_roots:
-        bb = float(rs.inner(beta, beta))
-        L = sum(lam[i] * float(rs.inner(rs._alpha(i), beta))
-                for i in range(rs.rank)) / bb
+    for beta, L in zip(rs.positive_roots, _root_lambda_terms(rs, lam)):
         val = _gamma(1.0 + 1j * np.pi * L / (l + g))
         if not np.isfinite(val):
             raise DomainError(f"Gamma pole at root {beta}")

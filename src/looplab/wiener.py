@@ -53,6 +53,12 @@ class WienerConfig:
             raise InvalidInput("beta must be positive")
         check_count("steps", self.steps, 8)
         check_count("n_samples", self.n_samples, 1)
+        if self.band is not None:
+            # fourier_project needs 2 band + 1 <= steps grid points
+            check_count("band", self.band, 0)
+            if self.band > (self.steps - 1) // 2:
+                raise InvalidInput(f"band must be <= (steps - 1) // 2 = "
+                                   f"{(self.steps - 1) // 2}, got {self.band}")
 
     @property
     def band_eff(self) -> int:

@@ -1,5 +1,7 @@
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from looplab.affine import (affine_weyl_apply, build_periodic_sequence,
@@ -54,6 +56,25 @@ def test_g2_cartan_matrix():
     assert rs.cartan == ((2, -1), (-3, 2))
 
 
+@pytest.mark.parametrize("label", sorted(POSITIVE_COUNTS))
+def test_reflection_matrices_are_the_geometric_reflections(label):
+    # r_alpha(gamma) = gamma - 2 <gamma, alpha>/<alpha, alpha> alpha on the
+    # basis vectors delta and alpha_j; delta is null, so r_0, with
+    # alpha_0 = delta - theta, shifts q by <gamma, theta> (<theta, theta> = 2)
+    rs = build_root_system(label)
+    r = rs.rank
+    basis = [(1, (0,) * r)] + [(0, tuple(int(j == k) for j in range(r)))
+                               for k in range(r)]
+    for i in range(r + 1):
+        R = rs.reflections[i]
+        a = simple_affine_root(rs, i)
+        for col, (q, beta) in enumerate(basis):
+            c = 2 * rs.inner(beta, a.beta) / rs.inner(a.beta, a.beta)
+            want = [q - c * a.q] + [b - c * ab for b, ab in zip(beta, a.beta)]
+            assert R[:, col].tolist() == want
+        assert (R @ R == np.eye(r + 1, dtype=int)).all()
+
+
 def test_reflection_involution():
     rs = build_root_system("B2")
     x = (F(1, 5), F(1, 7))
@@ -87,11 +108,13 @@ def test_a1_tau_sequence_closed_form():
     ("A1", 3), ("A2", 3), ("B2", 3), ("G2", 3),
     # rank >= 3 needs the second basepoint family of build_periodic_sequence
     ("A3", 2), ("B3", 2), ("C3", 2), ("D4", 2), ("A4", 2), ("B4", 2),
-    ("D5", 1), ("F4", 1), ("E6", 1)])
+    ("D5", 1), ("F4", 1), ("E6", 1), ("E7", 1), ("E8", 1)])
 def test_tau_set_is_q_delta_minus_positive(label, horizon):
     rs = build_root_system(label)
+    t0 = time.perf_counter()
     seq = build_periodic_sequence(rs, default_period(rs), horizon)
     taus = tau_sequence(seq, horizon)
+    assert time.perf_counter() - t0 < 2.0
     got = {(t.q, t.beta) for t in taus}
     want = {(q, tuple(-b for b in beta))
             for q in range(1, horizon + 1) for beta in rs.positive_roots}
@@ -143,6 +166,43 @@ def test_exponent_table_invalid_level():
     seq2 = build_periodic_sequence(rs2, default_period(rs2), 2)
     with pytest.raises(InvalidLevel):
         exponent_table(rs2, seq2, F(0), 2)
+
+
+# max rho(h_beta) - g: h - 1 - g, with h the Coxeter number
+LEVEL_BOUNDS = {"A1": -1, "A2": -1, "B2": 0, "C2": 0, "G2": 1, "A3": -1,
+                "B3": 0, "C3": 1, "D4": -1, "F4": 2, "B4": 0, "C4": 2,
+                "E6": -1, "E7": -1, "E8": -1}
+
+
+@pytest.mark.parametrize("label", sorted(LEVEL_BOUNDS))
+def test_level_bound_matches_zeta_rows(label):
+    # the up-front bound rejects exactly the levels at which some zeta row
+    # 1 + (l+g)q - rho(h_beta) of the horizon-1 table is <= 1
+    rs = build_root_system(label)
+    seq = build_periodic_sequence(rs, default_period(rs), 1)
+    rows = [(t.q, rs.rho_pairing(tuple(-b for b in t.beta)))
+            for t in tau_sequence(seq, 1)]
+    for level in (F(k, 4) for k in range(-3, 13)):
+        by_rows = all(1 + (level + rs.dual_coxeter) * q - rho_h > 1
+                      for q, rho_h in rows)
+        try:
+            exponent_table(rs, seq, level, 1)
+            accepted = True
+        except InvalidLevel as exc:
+            assert str(exc) == (f"{label} needs level > {LEVEL_BOUNDS[label]}"
+                                f", got {level}")
+            accepted = False
+        assert accepted == by_rows, level
+
+
+@pytest.mark.parametrize("horizon", [2.5, 0, -1, True])
+def test_horizon_must_be_a_positive_integer(horizon):
+    rs = build_root_system("A2")
+    with pytest.raises(InvalidInput, match="horizon"):
+        build_periodic_sequence(rs, default_period(rs), horizon)
+    seq = build_periodic_sequence(rs, default_period(rs), 2)
+    with pytest.raises(InvalidInput, match="horizon"):
+        exponent_table(rs, seq, 0, horizon)
 
 
 @pytest.mark.filterwarnings("error")

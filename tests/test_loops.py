@@ -248,3 +248,24 @@ def test_json_roundtrip_bit_exact():
 def test_json_missing_keys_rejected(text):
     with pytest.raises(InvalidInput, match="keys"):
         loop_from_json(text)
+
+
+_ID_MODE = [[1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+def _loop_json(n_min, n_max, modes):
+    return json.dumps({"dim": 2, "n_min": n_min, "n_max": n_max, "coeffs": modes})
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_loop_json(0, 0, [_ID_MODE] * 2), id="extra-mode"),
+    pytest.param(_loop_json(-1, 1, [_ID_MODE]), id="fewer-modes-than-band"),
+    pytest.param(_loop_json(0, 0, [_ID_MODE[:3]]), id="short-mode"),
+    pytest.param(_loop_json(0, 0, [3]), id="bare-number-mode"),
+    pytest.param(_loop_json(0, 0, [[1, 0, 0, 1]]), id="bare-number-pair"),
+    pytest.param(_loop_json(0, 1.0, [_ID_MODE] * 2), id="float-n_max"),
+    pytest.param("{dim: 2", id="not-json"),
+])
+def test_json_malformed_modes_rejected(text):
+    with pytest.raises(InvalidInput):
+        loop_from_json(text)

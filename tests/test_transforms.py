@@ -225,6 +225,14 @@ def test_hc_gamma_transform_a1():
     assert abs(v0 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [[1.0], [1.0, 2.0, 3.0], 1.0, [[1.0, 2.0]]])
+def test_root_transforms_need_one_lambda_per_node(lam):
+    rs = build_root_system("A2")
+    for transform in (general_sine_formula, hc_gamma_transform):
+        with pytest.raises(InvalidInput, match="2 simple-root coefficients"):
+            transform(rs, 0.0, lam)
+
+
 BAD_LAMBDAS = (np.nan, np.inf, -np.inf)
 
 

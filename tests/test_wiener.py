@@ -19,7 +19,8 @@ from looplab.wiener import (_OBSERVABLES, WienerConfig, _collect, _ks_two_sample
 def test_config_validation():
     for bad in (dict(beta=0.0), dict(beta=np.nan), dict(steps=4),
                 dict(steps=16.5), dict(steps=True), dict(n_samples=0),
-                dict(n_samples=2.0)):
+                dict(n_samples=2.0), dict(steps=16, band=2.5),
+                dict(steps=16, band=-1), dict(steps=16, band=8)):
         with pytest.raises(InvalidInput):
             WienerConfig(**{"beta": 1.0, "steps": 64, "n_samples": 1, **bad})
 
