@@ -24,10 +24,13 @@ from bench_pairs import ROOT, export_revision
 # one seeded run of every subcommand; diag once with several lambdas (one
 # set of draws for all), invariance and reparam once per mode or observable
 # that reaches different code, and wiener once more on a short walk, whose
-# Hardy cutoff (16) exceeds its band (7)
+# Hardy cutoff (16) exceeds its band (7); general sampling and affine tables
+# also on G2 and C3, where comarks differ from 1 and rho(h_beta) from the
+# height of beta, and on E8
 COMMANDS = (
     "sample --level 0 --truncation 16 --n 10 --seed 3",
     "sample --general A2 --truncation 8 --n 3 --seed 3",
+    "sample --general G2 --level 2 --truncation 6 --n 3 --seed 3",
     "identities --level 0 --m 64 --trials 8 --seed 7",
     "roundtrip --level 0 --trials 6 --seed 5",
     "diag --level 0 --lambda 1 --n 100000 --truncation 512 --seed 7",
@@ -37,8 +40,10 @@ COMMANDS = (
     "affine --type B --rank 2 --level 1 --horizon 4",
     "affine --type G --rank 2 --level 2 --horizon 3",
     "affine --type A --rank 3 --level 0 --horizon 2",
+    "affine --type C --rank 3 --level 2 --horizon 2",
     "affine --type F --rank 4 --level 3 --horizon 1",
     "affine --type E --rank 6 --level 0 --horizon 1",
+    "affine --type E --rank 8 --level 0 --horizon 1",
     "wiener --n 40 --seed 3",
     "wiener --n 40 --seed 3 --reference-level 0",
     "wiener --steps 16 --n 20 --seed 3",

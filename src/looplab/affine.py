@@ -1,15 +1,17 @@
 """Finite root systems, the affine Weyl group, reduced periodic words, and
 the exponent tables feeding the general product measure.
 
-Everything here is exact: roots are integer vectors in the simple-root
-basis, the affine Weyl group acts on them through integer matrices, points
-and pairings are Fractions, and no floating point enters.
+Everything here is exact: roots and coroots are integer vectors in the
+simple-root and simple-coroot bases, the affine Weyl group acts on roots
+through integer matrices, and pairings are integers; points are Fractions,
+and no floating point enters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -78,35 +80,19 @@ def _parse_label(label: str):
     return label[0].upper(), rank
 
 
-def _solve_fraction(A, b):
-    """Exact Gaussian elimination over Fractions: solve A x = b."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise InvalidInput("singular exact system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[col])]
-    return tuple(M[i][n] for i in range(n))
-
-
 @dataclass(frozen=True)
 class RootSystem:
-    """Finite root system data over exact rationals.
+    """Finite root system data, read off one integer coroot table.
 
-    Roots are integer coefficient tuples in the simple-root basis.  The
-    bilinear form matrix is normalized so the highest root has squared
-    length 2.  ``reflections[i]`` is the integer matrix of the simple affine
-    reflection r_i on the coordinates (q, beta) of q*delta + beta.  Entries
-    of a word's matrix grow with its horizon, far inside int64: at most 202
-    for A1 at horizon 200, 6 for E8 at horizon 2.
+    Roots are integer coefficient tuples in the simple-root basis.  Row k of
+    ``coroots`` holds the coefficients of h_beta in the simple coroots h_i
+    for beta = positive_roots[k]; the comarks, g, theta_vee and every
+    rho(h_beta) are read off it.  The bilinear form matrix is normalized so
+    the highest root has squared length 2.  Row i of ``simple_affine`` is
+    the simple affine root alpha_i and ``reflections[i]`` the integer matrix
+    of its reflection r_i, both on the coordinates (q, beta) of
+    q*delta + beta.  Entries of a word's matrix grow with its horizon, far
+    inside int64: at most 202 for A1 at horizon 200, 6 for E8 at horizon 2.
     """
 
     label: str
@@ -114,16 +100,13 @@ class RootSystem:
     cartan: tuple                      # cartan[i][j] = alpha_j(h_i)
     positive_roots: tuple = field(repr=False)
     form: tuple = field(repr=False)    # form[i][j] = <alpha_i, alpha_j>
+    coroots: np.ndarray = field(repr=False, compare=False)
     theta: tuple
-    theta_vee: tuple                   # (alpha_j(h_theta))_j, integers
-    rho: tuple                         # coefficients of rho-dot in simple roots
-    comarks: tuple
-    dual_coxeter: Fraction
+    theta_vee: tuple                   # (alpha_j(h_theta))_j
+    comarks: tuple                     # h_theta = sum_i comarks[i] h_i
+    dual_coxeter: int
+    simple_affine: np.ndarray = field(repr=False, compare=False)
     reflections: np.ndarray = field(repr=False, compare=False)
-
-    def pairing(self, beta, x):
-        """beta(x) for x given by its simple-root values (alpha_i(x))_i."""
-        return sum(Fraction(b) * Fraction(v) for b, v in zip(beta, x))
 
     def inner(self, beta, gamma):
         """<beta, gamma> in the normalized form."""
@@ -131,74 +114,72 @@ class RootSystem:
                    for i in range(self.rank) for j in range(self.rank))
 
     def rho_pairing(self, beta):
-        """rho-dot(h_beta) = 2 <rho-dot, beta> / <beta, beta>."""
-        return 2 * self.inner(self.rho, beta) / self.inner(beta, beta)
+        """rho-dot(h_beta) for a positive root beta: the height of h_beta."""
+        beta = tuple(beta)
+        if beta not in self.positive_roots:
+            raise InvalidInput(f"{beta} is not a positive root of {self.label}")
+        return int(self.coroots[self.positive_roots.index(beta)].sum())
 
 
 def build_root_system(label: str) -> RootSystem:
     family, rank = _parse_label(label)
     A = _cartan(family, rank)
+    cartan = np.array(A, dtype=np.int64)
     simple = [tuple(1 if j == i else 0 for j in range(rank))
               for i in range(rank)]
-
-    # r_i (i >= 1): beta -> beta - beta(h_{i-1}) alpha_{i-1}, i.e. the
-    # identity with Cartan row i-1 subtracted from the row of beta_{i-1}
-    R = np.repeat(np.eye(rank + 1, dtype=np.int64)[None], rank + 1, axis=0)
-    nodes = np.arange(1, rank + 1)
-    R[nodes, nodes, 1:] -= np.array(A, dtype=np.int64)
-
     roots = set(simple)
     frontier = set(simple)
     while frontier:
-        # row i of R[1:, 1:, 1:] @ beta is r_{i+1}(beta)
-        frontier = {tuple(im) for beta in frontier
-                    for im in (R[1:, 1:, 1:] @ beta).tolist()} - roots
+        # row i of beta - diag(A beta) is r_i(beta) = beta - beta(h_i) alpha_i
+        frontier = {tuple(im) for beta in frontier for im in
+                    (np.array(beta) - np.diag(cartan @ beta)).tolist()} - roots
         roots |= frontier
     positive = sorted(b for b in roots if all(c >= 0 for c in b))
 
-    # symmetrizer d_i with d_i A_ij = d_j A_ji, then scale so <theta,theta> = 2
-    d = [None] * rank
-    d[0] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank):
-            for j in range(rank):
-                if A[i][j] != 0 and d[i] is not None and d[j] is None:
-                    d[j] = d[i] * A[i][j] / A[j][i]
-                    changed = True
-    form = [[d[i] * A[i][j] for j in range(rank)] for i in range(rank)]
+    # symmetrizer d_i with d_i A_ij = d_j A_ji, spread along the connected
+    # Dynkin diagram, then cleared to integers
+    d = {0: Fraction(1)}
+    while len(d) < rank:
+        d.update({j: d[i] * A[i][j] / A[j][i] for i in list(d)
+                  for j in range(rank) if A[i][j] and j not in d})
+    den = lcm(*(f.denominator for f in d.values()))
+    d = np.array([int(d[i] * den) for i in range(rank)], dtype=np.int64)
+    B = d[:, None] * cartan            # <alpha_i, alpha_j> up to scale
 
     theta = max(positive, key=lambda b: sum(b))
     if sum(sum(b) == sum(theta) for b in positive) != 1:
         raise InvalidInput("highest root is not unique (bad Cartan data)")
-    tt = sum(Fraction(theta[i]) * form[i][j] * theta[j]
-             for i in range(rank) for j in range(rank))
-    scale = Fraction(2) / tt
-    form = tuple(tuple(scale * form[i][j] for j in range(rank))
-                 for i in range(rank))
-
-    # alpha_j(h_theta) = 2 <alpha_j, theta> / <theta, theta> = <alpha_j, theta>
-    theta_vee = [sum(f * t for f, t in zip(row, theta)) for row in form]
-    if any(v.denominator != 1 for v in theta_vee):
+    # h_beta = 2 beta / <beta, beta> = sum_i 2 beta_i d_i / <beta, beta> h_i
+    P = np.array(positive, dtype=np.int64)
+    norms = np.einsum("ki,ij,kj->k", P, B, P)[:, None]
+    if (2 * P * d % norms).any():
         raise InvalidInput("non-integral coroot pairing")
-    theta_vee = tuple(int(v) for v in theta_vee)
-    # r_0: (q, beta) -> (q + beta(h_theta), beta - beta(h_theta) theta)
-    R[0, 0, 1:] = theta_vee
-    R[0, 1:, 1:] -= np.outer(theta, theta_vee)
-    R.setflags(write=False)
+    coroots = 2 * P * d // norms
+    k = positive.index(theta)
+    form = tuple(tuple(Fraction(2 * int(v), int(norms[k, 0])) for v in row)
+                 for row in B)
+    comarks = coroots[k]
+    theta_vee = comarks @ cartan       # alpha_j(h_theta) = sum_i c_i A_ij
 
-    # rho-dot = sum_i f_i alpha_i with rho(h_j) = sum_i f_i A[j][i] = 1
-    rho = _solve_fraction(A, [1] * rank)
-    # comarks c_j: sum_j c_j alpha_i(h_j) = alpha_i(h_theta), where
-    # alpha_i(h_j) = A[j][i]
-    P = [[A[j][i] for j in range(rank)] for i in range(rank)]
-    comarks = _solve_fraction(P, theta_vee)
+    # alpha_0 = delta - theta and alpha_i = beta_{i-1}; row i of H is
+    # gamma -> gamma(h_i) on (q, beta), with h_0 = -h_theta there
+    S = np.eye(rank + 1, dtype=np.int64)
+    S[0, 1:] = -P[k]
+    H = np.zeros_like(S)
+    H[0, 1:] = -theta_vee
+    H[1:, 1:] = cartan
+    # r_i(gamma) = gamma - gamma(h_i) alpha_i
+    R = np.eye(rank + 1, dtype=np.int64) - S[:, :, None] * H[:, None, :]
+    for table in (coroots, S, R):
+        table.setflags(write=False)
     return RootSystem(label=f"{family}{rank}", rank=rank,
                       cartan=tuple(tuple(row) for row in A),
-                      positive_roots=tuple(positive), form=form, theta=theta,
-                      theta_vee=theta_vee, rho=rho, comarks=comarks,
-                      dual_coxeter=1 + sum(comarks), reflections=R)
+                      positive_roots=tuple(positive), form=form,
+                      coroots=coroots, theta=theta,
+                      theta_vee=tuple(theta_vee.tolist()),
+                      comarks=tuple(comarks.tolist()),
+                      dual_coxeter=1 + int(comarks.sum()),
+                      simple_affine=S, reflections=R)
 
 
 @dataclass(frozen=True)
@@ -209,18 +190,21 @@ class AffineRoot:
     q: int
     beta: tuple
 
-    def is_positive(self, rs: RootSystem) -> bool:
-        if self.q > 0:
-            return True
-        if self.q < 0:
-            return False
-        return tuple(self.beta) in set(rs.positive_roots)
+    def is_positive(self) -> bool:
+        # the coefficients of a finite root share one sign
+        return self.q > 0 or (self.q == 0 and max(self.beta) > 0)
+
+
+def _check_letter(rs: RootSystem, i) -> None:
+    check_count("letter", i, 0)
+    if i > rs.rank:
+        raise InvalidInput(f"letter must be <= {rs.rank} for {rs.label}, got {i}")
 
 
 def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
-    if i == 0:
-        return AffineRoot(1, tuple(-c for c in rs.theta))
-    return AffineRoot(0, tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
+    _check_letter(rs, i)
+    q, *beta = rs.simple_affine[i].tolist()
+    return AffineRoot(q, tuple(beta))
 
 
 def affine_weyl_apply(rs: RootSystem, word, x):
@@ -229,8 +213,16 @@ def affine_weyl_apply(rs: RootSystem, word, x):
 
     r_i (i >= 1) reflects in the wall alpha_i = 0; r_0 reflects in theta = 1.
     """
-    x = tuple(Fraction(v) for v in x)
-    for i in reversed(list(word)):
+    word = list(word)
+    for i in word:
+        _check_letter(rs, i)
+    try:
+        x = tuple(Fraction(v) for v in x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"point must have rational values, got {x!r}") from exc
+    if len(x) != rs.rank:
+        raise InvalidInput(f"point needs {rs.rank} simple-root values, got {len(x)}")
+    for i in reversed(word):
         x = _point_reflect(rs, i, x)
     return x
 
@@ -240,7 +232,7 @@ def _point_reflect(rs: RootSystem, i: int, x):
         # (alpha_j(h_{i-1}))_j is Cartan row i-1
         xi = x[i - 1]
         return tuple(v - xi * a for v, a in zip(x, rs.cartan[i - 1]))
-    shift = 1 - rs.pairing(rs.theta, x)
+    shift = 1 - sum(t * v for t, v in zip(rs.theta, x))
     return tuple(v + shift * t for v, t in zip(x, rs.theta_vee))
 
 
@@ -268,24 +260,12 @@ class ReducedSequence:
         return tuple(self.index(m) for m in range(1, n + 1))
 
 
-def _dominant_values(rs: RootSystem, coroot_coeffs):
-    """Value-coordinates of lambda = sum c_j h_j, as alpha_a(h_j) = cartan[j][a]."""
-    return tuple(sum(Fraction(c) * row[a]
-                     for c, row in zip(coroot_coeffs, rs.cartan))
-                 for a in range(rs.rank))
-
-
 def default_period(rs: RootSystem):
-    """The smallest-denominator strictly dominant coroot-lattice point with
-    equal simple-root values: clear denominators in the solve of
-    sum_j c_j alpha_i(h_j) = 1."""
-    r = rs.rank
-    A = rs.cartan
-    M = [[A[j][i] for j in range(r)] for i in range(r)]
-    x = _solve_fraction(M, [1] * r)
-    from math import lcm
-    mult = lcm(*[f.denominator for f in x]) if r > 1 else x[0].denominator
-    return tuple(int(f * mult) for f in x)
+    """rho-check = half the sum of the positive coroots, in the simple
+    coroots, whose simple-root values all equal 1; twice it when that is not
+    a coroot-lattice point."""
+    s = rs.coroots.sum(axis=0)
+    return tuple((s if (s % 2).any() else s // 2).tolist())
 
 
 def _generic_basepoints(rs: RootSystem):
@@ -307,58 +287,64 @@ def build_periodic_sequence(rs: RootSystem, period, horizon: int) -> ReducedSequ
     """Reduced affine-periodic word from the wall-crossing order of the ray
     x0 + t*lambda, lambda the requested strictly dominant coroot point.
 
-    The walls beta = m (beta > 0 finite, m >= 1) are crossed at the exact
-    times t = (m - beta(x0)) / beta(lambda); sorting all crossings up to the
-    time covering delta-coefficient `horizon` for every root gives the word:
-    crossing j carries tau_j = m delta - beta, and pushing tau_j through the
-    prefix built so far must land on a simple affine root, whose index is
-    the next letter.
+    The walls beta = m (beta > 0 finite, m >= 1) are crossed at the times
+    t = (m - beta(x0)) / beta(lambda), compared exactly as the integers
+    t*D*N, D the common denominator of x0 and N the lcm of the beta(lambda);
+    sorting all crossings up to the time covering delta-coefficient
+    `horizon` for every root gives the word: crossing j carries
+    tau_j = m delta - beta, and pushing tau_j through the prefix built so
+    far must land on a simple affine root, whose index is the next letter.
     """
     check_count("horizon", horizon, 1)
-    period = tuple(int(c) for c in period)
+    period = tuple(period)
     if len(period) != rs.rank:
         raise InvalidInput("period must have one coroot coefficient per node")
-    lam = _dominant_values(rs, period)
+    for c in period:
+        check_count("period coefficient", c, 0)
+    period = tuple(int(c) for c in period)
+    # alpha_a(lambda) = sum_j p_j alpha_a(h_j) = sum_j p_j cartan[j][a]
+    lam = [sum(p * row[a] for p, row in zip(period, rs.cartan))
+           for a in range(rs.rank)]
     if any(v <= 0 for v in lam):
         raise InvalidInput("period must be strictly dominant "
                            "(all simple-root values positive)")
+    bl = [sum(b * v for b, v in zip(beta, lam)) for beta in rs.positive_roots]
+    N = lcm(*bl)
     for x0 in _generic_basepoints(rs):
-        t_end = max((Fraction(horizon + 1) - rs.pairing(b, x0))
-                    / rs.pairing(b, lam) for b in rs.positive_roots)
+        D = lcm(*(v.denominator for v in x0))
+        X = [int(v * D) for v in x0]
+        # D*beta(x0) and N/beta(lambda) per root: key(m) = (m D - b0) s
+        roots = [(beta, sum(b * v for b, v in zip(beta, X)), N // l)
+                 for beta, l in zip(rs.positive_roots, bl)]
+        key_end = max(((horizon + 1) * D - b0) * s for _, b0, s in roots)
         events = []
-        for beta in rs.positive_roots:
-            b0 = rs.pairing(beta, x0)
-            bl = rs.pairing(beta, lam)
+        for beta, b0, s in roots:
             m = 1
-            while (Fraction(m) - b0) / bl <= t_end:
-                events.append(((Fraction(m) - b0) / bl, m, beta))
+            while (m * D - b0) * s <= key_end:
+                events.append(((m * D - b0) * s, m, beta))
                 m += 1
-        events.sort(key=lambda e: e[0])
         if len({e[0] for e in events}) == len(events):
             break
     else:
         raise NonReducedSequence("could not find a tie-free basepoint")
+    events.sort()
 
+    letter = {tuple(row): i for i, row in enumerate(rs.simple_affine.tolist())}
     prefix = []
     W = np.eye(rs.rank + 1, dtype=np.int64)     # root action of w_{j-1}
     for _, m, beta in events:
         gamma = (W @ np.array((m, *(-c for c in beta)))).tolist()
-        idx = _match_simple(rs, AffineRoot(gamma[0], tuple(gamma[1:])))
+        idx = letter.get(tuple(gamma))
         if idx is None:
             raise NonReducedSequence(
                 f"crossing {m}*delta - {beta} did not map to a simple root")
         W = rs.reflections[idx] @ W
         prefix.append(idx)
-    L = int(sum(rs.pairing(beta, lam) for beta in rs.positive_roots))
+    L = sum(bl)
     if len(prefix) < L:
         raise NonReducedSequence("horizon too small to cover one full period")
     return ReducedSequence(rs=rs, prefix=tuple(prefix),
                            period_length=L, period_coroot=period)
-
-
-def _match_simple(rs: RootSystem, gamma: AffineRoot):
-    return next((i for i in range(rs.rank + 1)
-                 if simple_affine_root(rs, i) == gamma), None)
 
 
 def tau_sequence(seq: ReducedSequence, horizon: int):
@@ -368,6 +354,7 @@ def tau_sequence(seq: ReducedSequence, horizon: int):
     the roots with delta-coefficient q <= horizon (complete: iteration
     continues far enough that no further letters can contribute).
     """
+    check_count("horizon", horizon, 1)
     rs = seq.rs
     n_pos = len(rs.positive_roots)
     limit = (horizon + 1) * seq.period_length + len(seq.prefix) + n_pos
@@ -376,10 +363,9 @@ def tau_sequence(seq: ReducedSequence, horizon: int):
     Winv = np.eye(rs.rank + 1, dtype=np.int64)
     for n in range(1, limit + 1):
         i = seq.index(n)
-        alpha = simple_affine_root(rs, i)
-        img = (Winv @ np.array((alpha.q, *alpha.beta))).tolist()
-        tau = AffineRoot(img[0], tuple(img[1:]))
-        if not tau.is_positive(rs):
+        q, *beta = (Winv @ rs.simple_affine[i]).tolist()
+        tau = AffineRoot(q, tuple(beta))
+        if not tau.is_positive():
             raise NonReducedSequence(
                 f"letter {n}: tau = {tau.q}*delta + {tau.beta} is negative")
         if tau.q <= horizon:
@@ -394,12 +380,12 @@ class ExponentTable:
 
     zeta_rows: (q, beta, 1 + (l+g)q - rho(h_beta)) for roots q*delta - beta;
     eta_rows:  (q, beta, 1 + (l+g)q + rho(h_beta)) for roots q*delta + beta;
-    chi_rates: (j, (l+g) j).  All entries exact Fractions.
+    chi_rates: (j, (l+g) j).  All entries exact Fractions; g is an integer.
     """
 
     label: str
     level: Fraction
-    gdual: Fraction
+    gdual: int
     zeta_rows: tuple
     eta_rows: tuple
     chi_rates: tuple
@@ -409,23 +395,25 @@ def exponent_table(rs: RootSystem, seq: ReducedSequence, level,
                    horizon: int) -> ExponentTable:
     check_level(level)
     check_count("horizon", horizon, 1)
+    if seq.rs.label != rs.label:
+        raise InvalidInput(f"a word of {seq.rs.label} cannot index a table "
+                           f"of {rs.label}")
     level = Fraction(level)
     g = rs.dual_coxeter
-    rho_h = [rs.rho_pairing(beta) for beta in rs.positive_roots]
+    rho_h = dict(zip(rs.positive_roots, rs.coroots.sum(axis=1).tolist()))
     # the zeta rows are q*delta - beta for every beta > 0 and 1 <= q <= horizon;
     # as l + g > 0, their exponents 1 + (l+g)q - rho(h_beta) all exceed 1
     # iff those at q = 1 do
-    bound = max(rho_h) - g
+    bound = max(rho_h.values()) - g
     if not level > bound:
         raise InvalidLevel(f"{rs.label} needs level > {bound}, got {level}")
     shift = level + g
     zeta_rows = []
     for tau in tau_sequence(seq, horizon):
         beta = tuple(-c for c in tau.beta)
-        zeta_rows.append((tau.q, beta, 1 + shift * tau.q - rs.rho_pairing(beta)))
+        zeta_rows.append((tau.q, beta, 1 + shift * tau.q - rho_h[beta]))
     eta_rows = [(q, beta, 1 + shift * q + r)
-                for q in range(0, horizon + 1)
-                for beta, r in zip(rs.positive_roots, rho_h)]
+                for q in range(0, horizon + 1) for beta, r in rho_h.items()]
     chi = tuple((j, shift * j) for j in range(1, horizon + 1))
     return ExponentTable(label=rs.label, level=level, gdual=g,
                          zeta_rows=tuple(zeta_rows), eta_rows=tuple(eta_rows),

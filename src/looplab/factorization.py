@@ -153,6 +153,8 @@ def ldu_2x2(g0: np.ndarray):
     g0 = np.asarray(g0, dtype=complex)
     if g0.shape[-2:] != (2, 2):
         raise InvalidInput(f"ldu_2x2 needs 2x2 matrices, got shape {g0.shape}")
+    if not np.isfinite(g0).all():
+        raise InvalidInput("ldu_2x2 needs finite matrices")
     # numpy scalars for one matrix (fast scalar arithmetic), arrays for a stack
     a, b, c, d = g0.reshape(g0.shape[:-2] + (4,)).transpose(-1, *range(g0.ndim - 2))
     abs_a = np.hypot(a.real, a.imag)    # rounds as abs() of a complex scalar

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_count
 
 __all__ = [
     "LaurentLoop",
@@ -140,8 +140,7 @@ def evaluate(g: LaurentLoop, n_grid: int) -> np.ndarray:
 
     Returns an array of shape (n_grid, dim, dim).
     """
-    if n_grid < 1:
-        raise InvalidInput("n_grid must be >= 1")
+    check_count("n_grid", n_grid, 1)
     # exact on the grid for any n_grid: z^n and z^(n mod N) coincide there
     spec = np.zeros((n_grid, g.dim, g.dim), dtype=complex)
     # add.at sums repeated slots in mode order
@@ -176,6 +175,8 @@ def fourier_project(samples: np.ndarray, n_min: int, n_max: int) -> LaurentLoop:
     (n_max - n_min + 1), else the modes alias and InvalidInput is raised.
     The map is a left inverse of ``evaluate`` on band-limited loops.
     """
+    check_count("n_max", n_max, 0)
+    check_count("-n_min", -n_min, 0)
     samples = np.asarray(samples, dtype=complex)
     n_grid = samples.shape[0]
     if n_grid < n_max - n_min + 1:
@@ -232,6 +233,7 @@ def mobius_reparam(g: LaurentLoop, a: complex, b: complex,
     mobius_check(a, b)
     if band_out is None:
         band_out = g.band_width
+    check_count("band_out", band_out, 0)
     if b == 0:
         # sigma(z) = e^{i phi} z with e^{i phi} = a / conj(a); c_n -> e^{-i n phi} c_n
         phase = a / np.conj(a)

@@ -93,8 +93,11 @@ class GeneralCoords:
 
 def sample_radial_sq(p, rng: np.random.Generator, size=None) -> np.ndarray:
     """Draw s = |w|^2 with density (p-1)(1+s)^{-p} by inverse CDF."""
+    p = np.asarray(p)
+    if not np.all(p > 1):       # NaN fails the test too
+        raise InvalidInput(f"radial exponents must exceed 1, got {p}")
     u = rng.random(size)
-    return (1.0 - u) ** (-1.0 / (np.asarray(p) - 1.0)) - 1.0
+    return (1.0 - u) ** (-1.0 / (p - 1.0)) - 1.0
 
 
 def _radial_complex(p, rng, size):
@@ -124,6 +127,10 @@ def log_density(spec: MeasureSpec, coords) -> float:
 
     chi0 contributes nothing (its factor is normalized Haar measure).
     """
+    if (len(coords.eta) > len(spec.eta_exponents)
+            or len(coords.chi) > len(spec.chi_rates)
+            or len(coords.zeta) > len(spec.zeta_exponents)):
+        raise InvalidInput("coordinates are longer than the spec's truncation")
     pe = spec.eta_exponents[:len(coords.eta)]
     pz = spec.zeta_exponents[:len(coords.zeta)]
     r = spec.chi_rates[:len(coords.chi)]

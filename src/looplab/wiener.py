@@ -233,8 +233,7 @@ def _paired_experiment(spec: MeasureSpec, second, observable: str, n: int,
     second(g, i), i the index of the draw."""
     if observable not in _OBSERVABLES:
         raise InvalidInput(f"unknown observable {observable!r}")
-    if n < 1:
-        raise InvalidInput("need at least one sample")
+    check_count("n", n, 1)
     obs = _OBSERVABLES[observable]
 
     def draw(i):

@@ -203,6 +203,8 @@ def test_horizon_must_be_a_positive_integer(horizon):
     seq = build_periodic_sequence(rs, default_period(rs), 2)
     with pytest.raises(InvalidInput, match="horizon"):
         exponent_table(rs, seq, 0, horizon)
+    with pytest.raises(InvalidInput, match="horizon"):
+        tau_sequence(seq, horizon)
 
 
 @pytest.mark.filterwarnings("error")
@@ -231,3 +233,62 @@ def test_periodicity_of_isometries():
         mid = affine_weyl_apply(rs, seq.word(s), x)
         rhs = affine_weyl_apply(rs, seq.word(L), mid)
         assert lhs == rhs
+
+
+ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+             "D4", "D5", "G2", "F4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_coroot_table_matches_its_definitions(label):
+    rs = build_root_system(label)
+    r = rs.rank
+    simple = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    for beta, h in zip(rs.positive_roots, rs.coroots.tolist()):
+        # beta(h_beta) = sum_i h_i beta(h_i), beta(h_i) through Cartan row i
+        assert sum(c * sum(a * b for a, b in zip(row, beta))
+                   for c, row in zip(h, rs.cartan)) == 2
+        # h_beta = sum_i c_i h_i = 2 beta/<beta, beta> with
+        # h_i = 2 alpha_i/<alpha_i, alpha_i>: c_i <beta, beta> = beta_i <alpha_i, alpha_i>
+        bb = rs.inner(beta, beta)
+        assert all(c * bb == b * rs.inner(a, a)
+                   for c, b, a in zip(h, beta, simple))
+        assert rs.rho_pairing(beta) == sum(h)
+    # alpha_j(h_theta) = 2 <alpha_j, theta>/<theta, theta>, <theta, theta> = 2
+    assert rs.theta_vee == tuple(rs.inner(a, rs.theta) for a in simple)
+    period = default_period(rs)
+    values = {sum(p * row[a] for p, row in zip(period, rs.cartan))
+              for a in range(r)}
+    assert len(values) == 1 and values.pop() > 0
+    assert any(p % 2 for p in period)
+
+
+def test_period_coefficients_must_be_integers():
+    rs = build_root_system("A2")
+    for period in ((1.5, 1), (float("nan"), 1), (True, 1), (1, -1)):
+        with pytest.raises(InvalidInput, match="period"):
+            build_periodic_sequence(rs, period, 2)
+
+
+@pytest.mark.parametrize("i", [3, 9, -1, 1.0, True])
+def test_letters_must_name_a_simple_affine_root(i):
+    rs = build_root_system("A2")
+    with pytest.raises(InvalidInput, match="letter"):
+        simple_affine_root(rs, i)
+    with pytest.raises(InvalidInput, match="letter"):
+        affine_weyl_apply(rs, [1, i], (F(1, 5), F(1, 7)))
+
+
+@pytest.mark.parametrize("x", [(F(1, 5),), (F(1, 5), F(1, 7), F(1, 3)),
+                               (float("nan"), 0.5)])
+def test_point_needs_one_rational_value_per_node(x):
+    rs = build_root_system("A2")
+    with pytest.raises(InvalidInput, match="point"):
+        affine_weyl_apply(rs, [0, 1], x)
+
+
+def test_exponent_table_rejects_a_word_of_another_type():
+    a2 = build_root_system("A2")
+    seq = build_periodic_sequence(a2, default_period(a2), 2)
+    with pytest.raises(InvalidInput, match="A2"):
+        exponent_table(build_root_system("B2"), seq, 1, 2)

@@ -258,3 +258,16 @@ def test_a0_from_dets_constant():
     u = _su2_const(0.7)
     g = from_coeff_dict({0: u})
     assert abs(a0_from_dets(g, 4) - abs(u[0, 0])) < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_ldu_rejects_non_finite_matrices(bad):
+    g0 = _su2_const(0.3)
+    g0[1, 0] = bad
+    with pytest.raises(InvalidInput):
+        ldu_2x2(g0)
+    G = _random_stack(29, 5)
+    G[3, 0, 0] = bad
+    with pytest.raises(InvalidInput):
+        ldu_2x2(G)

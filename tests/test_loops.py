@@ -269,3 +269,28 @@ def _loop_json(n_min, n_max, modes):
 def test_json_malformed_modes_rejected(text):
     with pytest.raises(InvalidInput):
         loop_from_json(text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_grid", [2.5, 0, -3, True])
+def test_grid_size_must_be_a_positive_integer(n_grid):
+    g = _rand_loop(np.random.default_rng(23))
+    with pytest.raises(InvalidInput, match="n_grid"):
+        evaluate(g, n_grid)
+    with pytest.raises(InvalidInput, match="n_grid"):
+        unitarity_defect(g, n_grid)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("band", [2.5, -1, np.nan])
+def test_projection_band_must_be_integral(band):
+    g = _rand_loop(np.random.default_rng(29))
+    with pytest.raises(InvalidInput, match="band_out"):
+        mobius_reparam(g, np.cosh(0.1), np.sinh(0.1), band_out=band)
+    with pytest.raises(InvalidInput, match="band_out"):
+        mobius_reparam(g, np.exp(0.3j), 0.0, band_out=band)
+    samples = evaluate(g, 16)
+    with pytest.raises(InvalidInput, match="n_max"):
+        fourier_project(samples, -2, band)
+    with pytest.raises(InvalidInput, match="n_min"):
+        fourier_project(samples, -band, 2)

@@ -237,3 +237,20 @@ def test_table_truncation_must_be_a_positive_integer(truncation):
                            Fraction(0), 4)
     with pytest.raises(InvalidInput, match="truncation"):
         MeasureSpec.from_exponent_table(table, truncation)
+
+
+@pytest.mark.parametrize("part", ["eta", "chi", "zeta"])
+def test_log_density_coords_longer_than_spec_rejected(part):
+    spec = MeasureSpec.su2(0.0, 2)
+    parts = {k: np.zeros(2, complex) for k in ("eta", "chi", "zeta")}
+    parts[part] = np.zeros(3, complex)
+    c = RootCoordsSU2(0.0, parts["eta"], 0j, parts["chi"], parts["zeta"])
+    with pytest.raises(InvalidInput):
+        log_density(spec, c)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, np.nan, [3.0, 1.0]])
+def test_radial_exponent_at_or_below_one_rejected(p):
+    with pytest.raises(InvalidInput):
+        sample_radial_sq(p, np.random.default_rng(0), size=2)

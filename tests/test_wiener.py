@@ -257,3 +257,14 @@ def test_ks_two_sample_matches_scipy_default(n):
     a, b = rng.standard_normal(n), rng.standard_normal(n) + 0.1
     res = stats.ks_2samp(a, b)
     assert _ks_two_sample(a, b) == (res.statistic, res.pvalue)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2.5, True, np.nan])
+def test_experiment_sample_count_must_be_an_integer(n):
+    spec = MeasureSpec.su2(0.0, 4)
+    h = from_coeff_dict({0: np.eye(2)})
+    with pytest.raises(InvalidInput, match="n must be"):
+        invariance_experiment(spec, h, "a0", n)
+    with pytest.raises(InvalidInput, match="n must be"):
+        reparam_invariance_experiment(spec, np.exp(0.35j), 0.0, "a0", n)
