@@ -24,9 +24,11 @@ from bench_pairs import ROOT, export_revision
 # one seeded run of every subcommand; diag once with several lambdas (one
 # set of draws for all), invariance and reparam once per mode or observable
 # that reaches different code, and wiener once more on a short walk, whose
-# Hardy cutoff (16) exceeds its band (7); general sampling and affine tables
-# also on G2 and C3, where comarks differ from 1 and rho(h_beta) from the
-# height of beta, and on E8
+# Hardy cutoff (16) exceeds its band (7); abs_eta0 and the hyperbolic
+# reparameterization also at truncation 24, where the converged Hardy cutoff
+# falls well below the band; general sampling and affine tables also on G2
+# and C3, where comarks differ from 1 and rho(h_beta) from the height of
+# beta, and on E8
 COMMANDS = (
     "sample --level 0 --truncation 16 --n 10 --seed 3",
     "sample --general A2 --truncation 8 --n 3 --seed 3",
@@ -50,7 +52,9 @@ COMMANDS = (
     "invariance --mode translate --truncation 16 --n 100 --seed 7",
     "invariance --observable abs_zeta1 --truncation 12 --n 100 --seed 7",
     "invariance --mode power --truncation 12 --n 100 --seed 7",
+    "invariance --observable abs_eta0 --truncation 24 --n 40 --seed 7",
     "reparam --mode hyperbolic --truncation 12 --n 40 --seed 4",
+    "reparam --mode hyperbolic --truncation 24 --n 40 --seed 4",
     "reparam --mode rotation --truncation 12 --n 40 --seed 4",
 )
 

@@ -148,26 +148,6 @@ def evaluate(g: LaurentLoop, n_grid: int) -> np.ndarray:
     return n_grid * np.fft.ifft(spec, axis=0)
 
 
-def evaluate_at(g: LaurentLoop, z: np.ndarray) -> np.ndarray:
-    """Values of g at arbitrary points z (Horner in z and 1/z)."""
-    z = np.asarray(z, dtype=complex)
-    vals = np.zeros(z.shape + (g.dim, g.dim), dtype=complex)
-    # positive part including 0, Horner from the top
-    for n in range(g.n_max, -1, -1):
-        vals *= z[..., None, None]
-        vals += g.coeff(n)
-    if g.n_min < 0:
-        zi = 1.0 / z
-        neg = np.zeros_like(vals)
-        for n in range(g.n_min, 0):
-            neg += g.coeff(n)
-            if n < -1:
-                neg *= zi[..., None, None]
-        neg *= zi[..., None, None]
-        vals += neg
-    return vals
-
-
 def fourier_project(samples: np.ndarray, n_min: int, n_max: int) -> LaurentLoop:
     """Recover band-limited coefficients from equispaced grid samples.
 
@@ -245,7 +225,22 @@ def mobius_reparam(g: LaurentLoop, a: complex, b: complex,
     # sigma^-1 = (conj(a), -b)
     z = mobius_apply(np.conj(a), -b, w)
     z /= np.abs(z)  # keep exactly on the circle against rounding
-    samples = evaluate_at(g, z)
+    # g at z by Horner in z and 1/z, one row per matrix entry: (dim^2, n_grid)
+    c = g.coeffs.reshape(-1, g.dim * g.dim, 1)
+    vals = np.zeros((g.dim * g.dim, n_grid), dtype=complex)
+    for n in range(g.n_max, -1, -1):
+        vals *= z
+        vals += c[n - g.n_min]
+    if g.n_min < 0:
+        zi = 1.0 / z
+        neg = np.zeros_like(vals)
+        for n in range(g.n_min, 0):
+            neg += c[n - g.n_min]
+            if n < -1:
+                neg *= zi
+        neg *= zi
+        vals += neg
+    samples = vals.T.reshape(n_grid, g.dim, g.dim)
     return fourier_project(samples, -band_out, band_out)
 
 

@@ -8,6 +8,7 @@ formulas give the closed-form truncated Toeplitz determinants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ _NOISE_FLOOR = 1e-9
 _COEFF_FLOOR = 1e-14
 # largest grid synthesize evaluates a loop on
 _MAX_GRID = 1 << 20
+# the converged Hardy solve's start, indicator, floor and cap (see
+# _converged_hardy_columns)
+_TAIL_FLOOR = 1e-8
+_INDICATOR_TOL = 1e-12
+_MIN_CUTOFF = 8
+_CAP_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -187,25 +194,46 @@ def random_coords(rng: np.random.Generator, level: float = 0.0) -> RootCoordsSU2
 
 # -- coordinate recovery -----------------------------------------------------
 
-def _hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
+def _converged_hardy_columns(g: LaurentLoop) -> np.ndarray:
+    """Hardy columns X_M of g at the smallest cutoff M of the growth sequence
+    whose last block passes the finite-section indicator max|X_M(M)|^2 <=
+    _INDICATOR_TOL (Gohberg-Feldman; Boettcher-Silbermann).  M starts at the
+    largest |n| with max|c_n| > _TAIL_FLOOR, at least _MIN_CUTOFF, and grows
+    to max(M + 1, ceil(1.25 M)), at most to the cap _CAP_FACTOR * max(band
+    width, 16).  Raises ConvergenceFailure when the solve at the cap misses
+    the indicator."""
+    cap = _CAP_FACTOR * max(g.band_width, 16)
+    M = max(g.trimmed(_TAIL_FLOOR).band_width, _MIN_CUTOFF)
+    while True:
+        X = _solve_hardy_columns(g, M)
+        if np.abs(X[M]).max() ** 2 <= _INDICATOR_TOL:
+            return X
+        if M >= cap:
+            raise ConvergenceFailure(
+                f"Hardy solve misses the indicator at the cap M = {cap}")
+        M = min(max(M + 1, math.ceil(1.25 * M)), cap)
+
+
+def _hardy_columns(g: LaurentLoop, M: int | None = None) -> np.ndarray:
     """Hardy columns X of g in the top stratum: H = X[0] = g0^-1 must have
     |H_22| >= 1e-12 max|H|, as an LDU of g0 divides by (g0)_11 = H_22 / det H.
-    Raises NotInTopStratum otherwise."""
-    X = _solve_hardy_columns(g, M)
+    Raises NotInTopStratum otherwise.  M=None is the converged solve
+    (_converged_hardy_columns); an integer M is the literal finite section."""
+    X = _converged_hardy_columns(g) if M is None else _solve_hardy_columns(g, M)
     H = X[0]
     if abs(H[1, 1]) < 1e-12 * max(abs(H).max(), 1e-300):
         raise NotInTopStratum("vanishing (2,2) entry in constant block")
     return X
 
 
-def _zeta_columns(g: LaurentLoop, M: int):
+def _zeta_columns(g: LaurentLoop, M: int | None):
     """Rows (lead, tail) for the zeta peel: the Hardy columns of g combined
     as X @ [H_22, -H_21], proportional to e^{-chi_+} (d2, -c2)^T."""
     X = _hardy_columns(g, M)
     return (X @ np.array([X[0, 1, 1], -X[0, 1, 0]])).T
 
 
-def _eta_columns(g: LaurentLoop, M: int):
+def _eta_columns(g: LaurentLoop, M: int | None):
     """(lead, tail) for the eta peel: the second Hardy column of star(g),
     proportional to e^{-chi_+} (-b1, a1)^T."""
     X = _hardy_columns(star(g), M)
@@ -286,9 +314,8 @@ def recover_coords(g: LaurentLoop, l_hint: float = 0.0) -> RootCoordsSU2:
 def recover_eta0(g: LaurentLoop, M: int | None = None) -> complex:
     """Fast path for eta_0 alone: the first step of the eta peel, one Hardy
     solve of star(g).  eta_0 = conj of the (1,2)/(2,2) ratio of its constant
-    block."""
-    if M is None:
-        M = max(g.band_width, 8)
+    block.  M=None is the converged solve, an integer M the literal finite
+    section (_hardy_columns)."""
     return complex(_peel(*_eta_columns(g, M), [0])[0])
 
 

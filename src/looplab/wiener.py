@@ -136,12 +136,15 @@ def sample_brownian_loop(cfg: WienerConfig, idx: int = 0):
 
 def _collect(n: int, draw):
     """The values of draw(i) for i < n, skipping draws that raise
-    LooplabError, and the failure rate.  Raises ExperimentDegenerate when
-    more than half of the draws fail."""
+    LooplabError, and the failure rate.  A caller's InvalidInput (and so
+    InvalidLevel) propagates at once.  Raises ExperimentDegenerate when more
+    than half of the draws fail."""
     vals, failures = [], 0
     for i in range(n):
         try:
             vals.append(draw(i))
+        except InvalidInput:
+            raise
         except LooplabError:
             failures += 1
     rate = failures / n
@@ -165,7 +168,10 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
     against Uniform[0,1].
 
     With reference_level set, the loops come from the exact coordinate
-    sampler at that level instead of the Brownian walk (harness self-test).
+    sampler at that level instead of the Brownian walk (harness self-test),
+    and eta_0 is read from the converged Hardy solve.  The walk loops are
+    read at the cutoff max(band, 16): a converged eta_0 of a rough walk loop
+    needs M near 500.
     """
     if reference_level is not None:
         spec = MeasureSpec.su2(reference_level, truncation=12)
@@ -175,9 +181,9 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
     def draw(i):
         if reference_level is None:
             g, _ = sample_brownian_loop(cfg, i)
-        else:
-            g = synthesize(sample_coords(spec, np.random.default_rng(int(seeds[i]))))
-        return recover_eta0(g, M=max(g.band_width, 16))
+            return recover_eta0(g, M=max(g.band_width, 16))
+        g = synthesize(sample_coords(spec, np.random.default_rng(int(seeds[i]))))
+        return recover_eta0(g)
 
     vals, rate = _collect(cfg.n_samples, draw)
     vals = np.asarray(vals)
@@ -187,18 +193,19 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
                       n_effective=len(vals), failure_rate=rate, eta0=vals)
 
 
-def _a0(g: LaurentLoop, M: int) -> float:
+def _a0(g: LaurentLoop, M: int | None = None) -> float:
     """The LDU's a0 of g0 / sqrt(det g0), g0 = H^-1 for the constant Hardy
     block H: as (g0)_11 = H_22 / det H, a0 = |H_22| / sqrt|det H|."""
     H = _hardy_columns(g, M)[0]
     return float(abs(H[1, 1]) / np.sqrt(abs(np.linalg.det(H))))
 
 
-# observable name -> value on a loop, from a Hardy solve with cutoff M
+# observable name -> value on a loop, from the converged Hardy solve, or the
+# finite section at cutoff M when M is given
 _OBSERVABLES = {
     "a0": _a0,
-    "abs_eta0": lambda g, M: abs(recover_eta0(g, M=M)),
-    "abs_zeta1": lambda g, M: float(abs(_peel(*_zeta_columns(g, M), [1])[0])),
+    "abs_eta0": lambda g, M=None: abs(recover_eta0(g, M=M)),
+    "abs_zeta1": lambda g, M=None: float(abs(_peel(*_zeta_columns(g, M), [1])[0])),
 }
 
 
@@ -238,9 +245,7 @@ def _paired_experiment(spec: MeasureSpec, second, observable: str, n: int,
 
     def draw(i):
         g = synthesize(sample_coords(spec, np.random.default_rng([int(seed), i])))
-        va = obs(g, g.band_width + 4)
-        g2 = second(g, i)
-        return va, obs(g2, g2.band_width + 4)
+        return obs(g), obs(second(g, i))
 
     pairs, rate = _collect(n, draw)
     ks, p = _ks_two_sample(*zip(*pairs))

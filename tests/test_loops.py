@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from looplab.errors import InvalidInput
 from looplab.loops import (LaurentLoop, default_grid_size, evaluate,
-                           evaluate_at, fourier_project, from_coeff_dict,
+                           fourier_project, from_coeff_dict,
                            identity_loop, loop_from_json, loop_to_json,
                            mobius_apply, mobius_check, mobius_reparam,
                            multiply, star, unitarity_defect)
+
+from oracles import evaluate_at
 
 
 def _rand_loop(rng, n_min=-2, n_max=2, dim=2):
@@ -215,6 +217,17 @@ def test_mobius_hyperbolic_grid_oracle():
     w = np.exp(2j * np.pi * np.arange(n) / n)
     direct = evaluate_at(g, mobius_apply(np.conj(a), -b, w))
     assert np.abs(evaluate_at(out, w) - direct).max() < 1e-8
+
+
+@pytest.mark.parametrize("n_min, n_max, dim", [(-7, 5, 2), (0, 4, 3), (-3, 0, 1)])
+def test_mobius_reparam_is_the_oracle_projection_bitwise(n_min, n_max, dim):
+    g = _rand_loop(np.random.default_rng(12), n_min, n_max, dim)
+    a, b = np.cosh(0.2), np.sinh(0.2)
+    n = default_grid_size(9)
+    z = mobius_apply(np.conj(a), -b, np.exp(2j * np.pi * np.arange(n) / n))
+    ref = fourier_project(evaluate_at(g, z / np.abs(z)), -9, 9)
+    out = mobius_reparam(g, a, b, band_out=9)
+    assert out.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 def test_mobius_preserves_unitarity():

@@ -5,13 +5,15 @@ from looplab import rootsub
 from looplab.errors import ConvergenceFailure, InvalidInput, InvalidLevel
 from looplab.factorization import a0_from_dets, log_det_AstarA, toeplitz
 from looplab.loops import (LaurentLoop, default_grid_size, evaluate,
-                           evaluate_at, fourier_project, from_coeff_dict,
+                           fourier_project, from_coeff_dict,
                            identity_loop, multiply, star, unitarity_defect)
 from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import (RootCoordsSU2, _above_floor, chi_values,
                              coords_max_error, log_product_formula,
                              product_formula, random_coords, recover_coords,
                              recover_eta0, synthesize)
+
+from oracles import evaluate_at
 
 E = np.array([], dtype=complex)
 

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from looplab.errors import (ExperimentDegenerate, InvalidInput, LooplabError,
+from looplab.errors import (ConvergenceFailure, ExperimentDegenerate,
+                            InvalidInput, InvalidLevel, LooplabError,
                             NotInTopStratum)
 from looplab.factorization import _solve_hardy_columns, triangular_factor
 from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict, star,
                            unitarity_defect)
 from looplab.measures import MeasureSpec, sample_coords
-from looplab.rootsub import (log_product_formula, recover_coords, recover_eta0,
-                             synthesize)
+from looplab.rootsub import (_hardy_columns, log_product_formula, recover_coords,
+                             recover_eta0, synthesize)
 from looplab.wiener import (_OBSERVABLES, WienerConfig, _collect, _ks_two_sample,
                             _pinned_walk, eta0_pushforward_experiment,
                             invariance_experiment, reparam_invariance_experiment,
@@ -223,8 +224,52 @@ def _eta0_constant_block(g, M):
 def test_recover_eta0_is_the_constant_block_formula_bitwise():
     for c, g in _synthesized_draws():
         for M in (None, g.band_width + 4):
-            ref = _eta0_constant_block(g, max(g.band_width, 8) if M is None else M)
-            assert recover_eta0(g, M=M) == ref
+            # M=None: the formula at the cutoff the converged solve chose
+            M_ref = len(_hardy_columns(star(g))) - 1 if M is None else M
+            assert recover_eta0(g, M=M) == _eta0_constant_block(g, M_ref)
+
+
+def _chosen_cutoff(g):
+    return len(_hardy_columns(g)) - 1
+
+
+@pytest.mark.parametrize("truncation", [12, 24])
+@pytest.mark.parametrize("level", [0.0, 1.0, 2.0])
+def test_converged_observables_match_closed_forms(truncation, level):
+    spec = MeasureSpec.su2(level, truncation)
+    for j in range(3):
+        c = sample_coords(spec, np.random.default_rng([43, truncation, int(level), j]))
+        g = synthesize(c)
+        assert _chosen_cutoff(g) <= g.band_width
+        assert _chosen_cutoff(star(g)) <= g.band_width
+        a0 = np.exp(0.5 * log_product_formula(c, "a0sq"))
+        assert abs(_OBSERVABLES["a0"](g) - a0) <= 1e-10
+        assert abs(_OBSERVABLES["abs_eta0"](g) - abs(c.eta[0])) <= 1e-10
+        assert abs(_OBSERVABLES["abs_zeta1"](g) - abs(c.zeta[0])) <= 1e-10
+
+
+def test_converged_cutoff_of_a_walk_loop_exceeds_its_band():
+    g, _ = sample_brownian_loop(WienerConfig(beta=0.5, steps=256, n_samples=1,
+                                             seed=17))
+    M = _chosen_cutoff(star(g))
+    assert M > g.band_width
+    # past the indicator, doubling the section moves eta_0 by under 1e-10
+    assert abs(recover_eta0(g) - recover_eta0(g, M=2 * M)) <= 1e-10
+
+
+def test_converged_cutoff_of_a_constant_loop_is_the_floor():
+    g = from_coeff_dict({0: np.array([[0.6, 0.8], [-0.8, 0.6]])})
+    assert _chosen_cutoff(g) == 8
+    assert _OBSERVABLES["a0"](g) == pytest.approx(0.6)
+
+
+def test_converged_solve_raises_past_its_cap():
+    # X = (I - 0.999 z)^-1 = sum 0.999^n z^n: its block at the cap M = 64 is
+    # 0.94, far above the indicator
+    g = from_coeff_dict({0: np.eye(2), 1: -0.999 * np.eye(2)})
+    with pytest.raises(ConvergenceFailure, match="cap M = 64"):
+        _hardy_columns(g)
+    assert len(_hardy_columns(g, 64)) == 65
 
 
 def test_collect_counts_failures():
@@ -237,6 +282,17 @@ def test_collect_counts_failures():
     assert _collect(10, lambda i: draw(0) if i < 5 else i) == ([5, 6, 7, 8, 9], 0.5)
     with pytest.raises(ExperimentDegenerate):
         _collect(10, lambda i: draw(0) if i < 6 else i)
+
+
+@pytest.mark.parametrize("error", [InvalidInput, InvalidLevel])
+def test_collect_lets_caller_errors_escape(error):
+    def draw(i):
+        if i == 3:
+            raise error("bad caller input")
+        return i
+
+    with pytest.raises(error, match="bad caller input"):
+        _collect(10, draw)
 
 
 def test_ks_two_sample_at_one_step_is_exact_one():
