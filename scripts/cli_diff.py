@@ -24,7 +24,8 @@ from bench_pairs import ROOT, export_revision
 # one seeded run of every subcommand; diag once with several lambdas (one
 # set of draws for all), invariance and reparam once per mode or observable
 # that reaches different code, and wiener once more on a short walk, whose
-# Hardy cutoff (16) exceeds its band (7); abs_eta0 and the hyperbolic
+# Hardy cutoff (16) exceeds its band (7), and on 300 walks, which cross the
+# walk stream's chunk boundary at 256; abs_eta0 and the hyperbolic
 # reparameterization also at truncation 24, where the converged Hardy cutoff
 # falls well below the band; general sampling and affine tables also on G2
 # and C3, where comarks differ from 1 and rho(h_beta) from the height of
@@ -49,6 +50,7 @@ COMMANDS = (
     "wiener --n 40 --seed 3",
     "wiener --n 40 --seed 3 --reference-level 0",
     "wiener --steps 16 --n 20 --seed 3",
+    "wiener --n 300 --seed 3",
     "invariance --mode translate --truncation 16 --n 100 --seed 7",
     "invariance --observable abs_zeta1 --truncation 12 --n 100 --seed 7",
     "invariance --mode power --truncation 12 --n 100 --seed 7",

@@ -38,6 +38,11 @@ _PAULI = (
 
 # _su2_log_vector raises within this distance of the branch cut at -I
 _BRANCH_TOL = 1e-6
+# draws of one walk before it counts as a failed sample
+_ATTEMPTS = 64
+# walks per stacked batch of the walk stream: 256 walks of 257 2x2 complex
+# matrices at the default 256 steps, about 4 MB
+_WALK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,7 @@ class WienerConfig:
             raise InvalidInput("beta must be positive")
         check_count("steps", self.steps, 8)
         check_count("n_samples", self.n_samples, 1)
+        check_count("seed", self.seed, 0)
         if self.band is not None:
             # fourier_project needs 2 band + 1 <= steps grid points
             check_count("band", self.band, 0)
@@ -94,44 +100,75 @@ def _su2_log_vector(g: np.ndarray) -> np.ndarray:
     return theta * v / s
 
 
-def _pinned_walk(cfg: WienerConfig, idx: int):
-    """Pinned walk samples at the grid points; returns (values, resamples)."""
+def _pinned_walks(cfg: WienerConfig, idx):
+    """Pinned walks for the sample indices idx, stacked: (values, resamples).
+
+    values[j] holds walk idx[j] at the steps + 1 grid points and resamples[j]
+    its branch-cut redraws.  Attempt a of sample j draws its increments from
+    default_rng([seed, idx[j], a]); only the samples whose endpoint hits the
+    branch cut are redrawn, at the next attempt.  A sample that hits it on
+    all _ATTEMPTS attempts has resamples[j] == _ATTEMPTS and NaN values.
+    """
     t = 1.0 / cfg.beta
     scale = np.sqrt(t / cfg.steps) / np.sqrt(2.0)
-    resamples = 0
-    for attempt in range(64):
-        rng = np.random.default_rng([int(cfg.seed), int(idx), attempt])
-        xi = scale * rng.standard_normal((cfg.steps, 3))
+    idx = [int(i) for i in idx]
+    values = np.full((len(idx), cfg.steps + 1, 2, 2), np.nan, dtype=complex)
+    v_end = np.zeros((len(idx), 3))
+    resamples = np.zeros(len(idx), dtype=int)
+    todo = np.arange(len(idx))
+    for attempt in range(_ATTEMPTS):
+        if not len(todo):
+            break
+        xi = scale * np.stack([
+            np.random.default_rng([int(cfg.seed), idx[j], attempt])
+            .standard_normal((cfg.steps, 3)) for j in todo])
         incs = _su2_exp(xi)
-        walk = np.empty((cfg.steps + 1, 2, 2), dtype=complex)
-        walk[0] = np.eye(2)
+        walk = np.empty((len(todo), cfg.steps + 1, 2, 2), dtype=complex)
+        walk[:, 0] = np.eye(2)
         for k in range(cfg.steps):
-            walk[k + 1] = walk[k] @ incs[k]
-        try:
-            v_end = _su2_log_vector(walk[cfg.steps])
-        except LooplabError:
-            resamples += 1
-            continue
-        ks = np.arange(cfg.steps + 1) / cfg.steps
-        corr = _su2_exp(-ks[:, None] * v_end[None, :])
-        pinned = np.einsum("kab,kbc->kac", walk, corr)
-        return pinned, resamples
-    raise ExperimentDegenerate("persistent branch-cut failures in the walk")
+            np.matmul(walk[:, k], incs[:, k], out=walk[:, k + 1])
+        hit = np.zeros(len(todo), dtype=bool)
+        for r, j in enumerate(todo):
+            try:
+                v_end[j] = _su2_log_vector(walk[r, cfg.steps])
+            except LooplabError:
+                hit[r] = True
+        values[todo[~hit]] = walk[~hit]
+        resamples[todo[hit]] += 1
+        todo = todo[hit]
+    ok = resamples < _ATTEMPTS
+    ks = np.arange(cfg.steps + 1) / cfg.steps
+    corr = _su2_exp(-ks[None, :, None] * v_end[ok, None, :])
+    values[ok] = np.einsum("skab,skbc->skac", values[ok], corr)
+    return values, resamples
 
 
-def sample_brownian_loop(cfg: WienerConfig, idx: int = 0):
-    """One pinned Brownian loop as a band-limited LaurentLoop.
-
-    Returns (loop, n_resamples).  The endpoint closure g(2 pi) = g(0) is
-    exact by construction of the geodesic correction.
-    """
-    pinned, resamples = _pinned_walk(cfg, idx)
+def _walk_loop(cfg: WienerConfig, pinned: np.ndarray, resamples: int) -> LaurentLoop:
+    """The band-limited loop of one pinned walk of _pinned_walks.  The
+    endpoint closure g(2 pi) = g(0) is exact by construction of the geodesic
+    correction."""
+    if resamples == _ATTEMPTS:
+        raise ExperimentDegenerate("persistent branch-cut failures in the walk")
     closure = float(np.abs(pinned[-1] - pinned[0]).max())
     if closure > 1e-12:
         raise ExperimentDegenerate(f"loop failed to close: defect {closure:.1e}")
     B = cfg.band_eff
-    loop = fourier_project(pinned[:-1], -B, B)
-    return loop, resamples
+    return fourier_project(pinned[:-1], -B, B)
+
+
+def sample_brownian_loop(cfg: WienerConfig, idx: int = 0):
+    """One pinned Brownian loop as a band-limited LaurentLoop: walk idx of
+    _pinned_walks.  Returns (loop, n_resamples)."""
+    pinned, resamples = _pinned_walks(cfg, [idx])
+    return _walk_loop(cfg, pinned[0], resamples[0]), int(resamples[0])
+
+
+def _walk_stream(cfg: WienerConfig):
+    """(pinned walk, resamples) for the samples 0 .. n_samples - 1 in order,
+    drawn _WALK_CHUNK at a time by _pinned_walks."""
+    for start in range(0, cfg.n_samples, _WALK_CHUNK):
+        chunk = range(start, min(start + _WALK_CHUNK, cfg.n_samples))
+        yield from zip(*_pinned_walks(cfg, chunk))
 
 
 def _collect(n: int, draw):
@@ -160,6 +197,22 @@ class Eta0Report:
     n_effective: int
     failure_rate: float
     eta0: np.ndarray
+    # branch-cut redraws summed over the walk stream's samples, failed ones
+    # included; 0 for the exact stream
+    resamples: int = 0
+
+
+def _ks_uniform(u):
+    """kstest(u, "uniform") without scipy's argument wrapper: D = max(D+, D-)
+    of the sorted u, read as scipy's _compute_d reads it (the uniform cdf is
+    the identity on [0, 1]), and its exact p-value kstwo.sf(D, n), clipped
+    to [0, 1]."""
+    u = np.sort(u)
+    n = len(u)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - u)
+    d_minus = np.max(u - np.arange(0.0, n) / n)
+    d = d_plus if d_plus > d_minus else d_minus
+    return float(d), float(np.clip(stats.kstwo.sf(d, n), 0.0, 1.0))
 
 
 def eta0_pushforward_experiment(cfg: WienerConfig,
@@ -177,10 +230,15 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
         spec = MeasureSpec.su2(reference_level, truncation=12)
         master = np.random.default_rng([int(cfg.seed), 0xe7a])
         seeds = master.integers(0, 2 ** 62, size=cfg.n_samples)
+    else:
+        walks = _walk_stream(cfg)
+    resamples = []
 
     def draw(i):
         if reference_level is None:
-            g, _ = sample_brownian_loop(cfg, i)
+            pinned, r = next(walks)
+            resamples.append(r)
+            g = _walk_loop(cfg, pinned, r)
             return recover_eta0(g, M=max(g.band_width, 16))
         g = synthesize(sample_coords(spec, np.random.default_rng(int(seeds[i]))))
         return recover_eta0(g)
@@ -188,9 +246,9 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
     vals, rate = _collect(cfg.n_samples, draw)
     vals = np.asarray(vals)
     u = np.abs(vals) ** 2 / (1.0 + np.abs(vals) ** 2)
-    ks = stats.kstest(u, "uniform")
-    return Eta0Report(ks=float(ks.statistic), pvalue=float(ks.pvalue),
-                      n_effective=len(vals), failure_rate=rate, eta0=vals)
+    ks, p = _ks_uniform(u)
+    return Eta0Report(ks=ks, pvalue=p, n_effective=len(vals), failure_rate=rate,
+                      eta0=vals, resamples=int(sum(resamples)))
 
 
 def _a0(g: LaurentLoop, M: int | None = None) -> float:
@@ -241,6 +299,7 @@ def _paired_experiment(spec: MeasureSpec, second, observable: str, n: int,
     if observable not in _OBSERVABLES:
         raise InvalidInput(f"unknown observable {observable!r}")
     check_count("n", n, 1)
+    check_count("seed", seed, 0)
     obs = _OBSERVABLES[observable]
 
     def draw(i):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from looplab import wiener
 from looplab.errors import (ConvergenceFailure, ExperimentDegenerate,
                             InvalidInput, InvalidLevel, LooplabError,
                             NotInTopStratum)
@@ -12,16 +13,19 @@ from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import (_hardy_columns, log_product_formula, recover_coords,
                              recover_eta0, synthesize)
 from looplab.wiener import (_OBSERVABLES, WienerConfig, _collect, _ks_two_sample,
-                            _pinned_walk, eta0_pushforward_experiment,
-                            invariance_experiment, reparam_invariance_experiment,
-                            sample_brownian_loop)
+                            _ks_uniform, _pinned_walks, _walk_stream,
+                            eta0_pushforward_experiment, invariance_experiment,
+                            reparam_invariance_experiment, sample_brownian_loop)
+
+from oracles import pinned_walk, raw_walk
 
 
 def test_config_validation():
     for bad in (dict(beta=0.0), dict(beta=np.nan), dict(steps=4),
                 dict(steps=16.5), dict(steps=True), dict(n_samples=0),
                 dict(n_samples=2.0), dict(steps=16, band=2.5),
-                dict(steps=16, band=-1), dict(steps=16, band=8)):
+                dict(steps=16, band=-1), dict(steps=16, band=8),
+                dict(seed=-1), dict(seed=np.nan), dict(seed=2.5)):
         with pytest.raises(InvalidInput):
             WienerConfig(**{"beta": 1.0, "steps": 64, "n_samples": 1, **bad})
 
@@ -35,11 +39,69 @@ def test_eta0_experiment_zero_samples_rejected():
 
 def test_walk_closes_exactly():
     cfg = WienerConfig(beta=1.0, steps=64, n_samples=1, seed=11)
-    pinned, _ = _pinned_walk(cfg, 0)
+    pinned = _pinned_walks(cfg, [0])[0][0]
     assert np.abs(pinned[-1] - pinned[0]).max() < 1e-12
     # every grid value stays in the unitary group
     prods = np.einsum("kab,kcb->kac", pinned, pinned.conj())
     assert np.abs(prods - np.eye(2)).max() < 1e-10
+
+
+def test_pinned_walks_match_the_oracle_bitwise():
+    # 300 samples cross the stream's chunk boundary at 256
+    cfg = WienerConfig(beta=0.05, steps=256, n_samples=300, seed=3)
+    stream = list(_walk_stream(cfg))
+    assert len(stream) == 300
+    for i, (values, resamples) in enumerate(stream):
+        ref, ref_resamples = pinned_walk(cfg, i)
+        assert resamples == ref_resamples
+        assert values.tobytes() == ref.tobytes()
+    values, resamples = _pinned_walks(cfg, [299, 0, 257])
+    for j, i in enumerate([299, 0, 257]):
+        assert values[j].tobytes() == stream[i][0].tobytes()
+
+
+def _branch_cut_at(monkeypatch, endpoints):
+    """Make _su2_log_vector report the branch cut at the given endpoints."""
+    real = wiener._su2_log_vector
+
+    def log_vector(g):
+        if any(np.array_equal(g, e) for e in endpoints):
+            raise LooplabError("endpoint at the branch cut of the group logarithm")
+        return real(g)
+
+    monkeypatch.setattr(wiener, "_su2_log_vector", log_vector)
+
+
+def test_branch_cut_hit_redraws_only_that_sample(monkeypatch):
+    cfg = WienerConfig(beta=1.0, steps=32, n_samples=5, seed=11)
+    clean, clean_resamples = _pinned_walks(cfg, range(5))
+    assert not clean_resamples.any()
+    # sample 3 hits the cut on its attempts 0 and 1
+    _branch_cut_at(monkeypatch, [raw_walk(cfg, 3, a)[-1] for a in (0, 1)])
+    values, resamples = _pinned_walks(cfg, range(5))
+    assert resamples.tolist() == [0, 0, 0, 2, 0]
+    for i in (0, 1, 2, 4):
+        assert values[i].tobytes() == clean[i].tobytes()
+    ref, ref_resamples = pinned_walk(cfg, 3)
+    assert ref_resamples == 2 and values[3].tobytes() == ref.tobytes()
+    assert sample_brownian_loop(cfg, 3)[1] == 2
+    assert eta0_pushforward_experiment(cfg).resamples == 2
+
+
+def test_walk_failing_every_attempt_fails_only_its_draw(monkeypatch):
+    cfg = WienerConfig(beta=1.0, steps=32, n_samples=5, seed=11)
+    clean = eta0_pushforward_experiment(cfg)
+    assert clean.n_effective == 5 and clean.resamples == 0
+    _branch_cut_at(monkeypatch, [raw_walk(cfg, 2, a)[-1] for a in range(64)])
+    values, resamples = _pinned_walks(cfg, range(5))
+    assert resamples.tolist() == [0, 0, 64, 0, 0]
+    assert np.isnan(values[2]).all()
+    with pytest.raises(ExperimentDegenerate, match="branch-cut"):
+        sample_brownian_loop(cfg, 2)
+    rep = eta0_pushforward_experiment(cfg)
+    assert rep.n_effective == 4 and rep.failure_rate == 0.2
+    assert rep.resamples == 64
+    np.testing.assert_array_equal(rep.eta0, np.delete(clean.eta0, 2))
 
 
 def test_sample_deterministic():
@@ -307,6 +369,14 @@ def test_ks_two_sample_at_one_step_is_exact_one():
     assert _ks_two_sample(a, a + 1.5) == (res.statistic, res.pvalue)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 40, 400, 10 ** 4])
+def test_ks_uniform_is_scipys_kstest_bitwise(n):
+    u = np.random.default_rng(n).random(n)
+    u[-1] = u[0]      # one tied sample (at n = 1, the sample itself)
+    res = stats.kstest(u, "uniform")
+    assert _ks_uniform(u) == (res.statistic, res.pvalue)
+
+
 @pytest.mark.parametrize("n", [40, 300, 10001])
 def test_ks_two_sample_matches_scipy_default(n):
     rng = np.random.default_rng(n)
@@ -324,3 +394,14 @@ def test_experiment_sample_count_must_be_an_integer(n):
         invariance_experiment(spec, h, "a0", n)
     with pytest.raises(InvalidInput, match="n must be"):
         reparam_invariance_experiment(spec, np.exp(0.35j), 0.0, "a0", n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [-1, np.nan, 2.5])
+def test_experiment_seed_must_be_a_non_negative_integer(seed):
+    spec = MeasureSpec.su2(0.0, 4)
+    h = from_coeff_dict({0: np.eye(2)})
+    with pytest.raises(InvalidInput, match="seed must be"):
+        invariance_experiment(spec, h, "a0", 3, seed=seed)
+    with pytest.raises(InvalidInput, match="seed must be"):
+        reparam_invariance_experiment(spec, np.exp(0.35j), 0.0, "a0", 3, seed=seed)
