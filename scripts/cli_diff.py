@@ -22,7 +22,8 @@ import tempfile
 from bench_pairs import ROOT, export_revision
 
 # one seeded run of every subcommand; diag once with several lambdas (one
-# set of draws for all), invariance and reparam once per mode or observable
+# set of draws for all), roundtrip once more at level 3.5 over 20 draws of
+# coordinate recovery, invariance and reparam once per mode or observable
 # that reaches different code, and wiener once more on a short walk, whose
 # Hardy cutoff (16) exceeds its band (7), and on 300 walks, which cross the
 # walk stream's chunk boundary at 256; abs_eta0 and the hyperbolic
@@ -36,6 +37,7 @@ COMMANDS = (
     "sample --general G2 --level 2 --truncation 6 --n 3 --seed 3",
     "identities --level 0 --m 64 --trials 8 --seed 7",
     "roundtrip --level 0 --trials 6 --seed 5",
+    "roundtrip --level 3.5 --trials 20 --seed 9",
     "diag --level 0 --lambda 1 --n 100000 --truncation 512 --seed 7",
     "diag --level 0 --lambda 0.5 --lambda 1 --lambda 2 --n 100000 --truncation 512 --seed 7",
     "affine --type A --rank 1 --level 0 --horizon 16",

@@ -30,6 +30,6 @@ from .transforms import (TransformResult, finite_hc_check,
                          partial_product, sine_formula_su2)
 from .wiener import (Eta0Report, InvarianceReport, WienerConfig,
                      eta0_pushforward_experiment, invariance_experiment,
-                     reparam_invariance_experiment, sample_brownian_loop)
+                     reparam_invariance_experiment)
 
 __version__ = "0.1.0"

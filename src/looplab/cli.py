@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .affine import (build_periodic_sequence, build_root_system,
                      default_period, exponent_table)
-from .errors import InvalidInput, LooplabError
+from .errors import InvalidInput, LooplabError, check_count
 from .factorization import log_det_AstarA, toeplitz
 from .loops import LaurentLoop, from_coeff_dict
 from .measures import MeasureSpec, sample_coords
@@ -147,6 +148,7 @@ def _cmd_sample(args) -> int:
     cfg = {"command": "sample", "level": args.level,
            "truncation": args.truncation, "n": args.n, "seed": args.seed,
            "general": args.general, "format": args.format}
+    check_count("--n", args.n, 1)
     if args.general:
         rs = build_root_system(args.general)
         seq = build_periodic_sequence(rs, default_period(rs),
@@ -184,6 +186,8 @@ def _cmd_sample(args) -> int:
 def _cmd_identities(args) -> int:
     cfg = {"command": "identities", "level": args.level, "m": args.m,
            "trials": args.trials, "seed": args.seed}
+    check_count("--trials", args.trials, 1)
+    check_count("--m", args.m, 0)
     buf = io.StringIO()
     print(_header(cfg), file=buf)
     print("coord_seed,M,log_det_A,log_det_A1,product_formula_A,"
@@ -209,6 +213,9 @@ def _cmd_identities(args) -> int:
 def _cmd_roundtrip(args) -> int:
     cfg = {"command": "roundtrip", "level": args.level, "trials": args.trials,
            "tol": args.tol, "seed": args.seed}
+    check_count("--trials", args.trials, 1)
+    if not 0 < args.tol < math.inf:
+        raise InvalidInput(f"--tol must be a finite number > 0, got {args.tol}")
     buf = io.StringIO()
     print(_header(cfg), file=buf)
     print("trial,max_coord_error", file=buf)

@@ -264,51 +264,40 @@ def _above_floor(c: np.ndarray) -> np.ndarray:
     return np.trim_zeros(np.where(np.abs(c) <= _NOISE_FLOOR, 0, c), "b")
 
 
-def _recover_once(g: LaurentLoop, level: float, M: int) -> RootCoordsSU2:
-    n_max = g.band_width
-    zeta = _above_floor(_peel(*_zeta_columns(g, M), range(1, n_max + 1)))
-    eta = _above_floor(_peel(*_eta_columns(g, M), range(n_max + 1)))
-    # chi: (k1 g star(k2))_00 = e^chi on the circle.  With A = star(k1) and
-    # B = k2 on the synthesis grid, that entry is conj(A[:, 0]) g conj(B[0, :]).
-    empty = np.zeros(0, complex)
-    n_grid = default_grid_size(max(max(len(eta) - 1, 0) + g.band_width + len(zeta),
-                                   2 * n_max + 1))
-    A = _synth_values(RootCoordsSU2(level, eta, 0j, empty, empty), n_grid)
-    B = _synth_values(RootCoordsSU2(level, empty, 0j, empty, zeta), n_grid)
-    diag = np.einsum("ik,kij,jk->k", np.conj(A[:, 0]), evaluate(g, n_grid),
-                     np.conj(B[0]))
-    ang = np.unwrap(np.angle(diag))
-    spec = np.fft.fft(1j * ang) / n_grid
-    chi0 = 1j * (float(np.mean(ang)) % (2 * np.pi))
-    chi = _above_floor(spec[1:n_max + 1])
-    return RootCoordsSU2(level, eta, chi0, chi, zeta)
-
-
 def recover_coords(g: LaurentLoop, l_hint: float = 0.0) -> RootCoordsSU2:
     """Invert synthesize: peel (eta, chi, zeta) off a unitary-valued loop.
 
     Contract: for g = synthesize(c) with support <= 8 and moduli <= 0.5,
     the result matches c to 1e-8 per coordinate.  Coordinates of modulus at
     or below the noise floor 1e-9 are returned as zero and trailing zeros
-    dropped: the arrays have the support length of c.  Raises
-    NotInTopStratum outside the top stratum (_hardy_columns) and
-    ConvergenceFailure when the resynthesized loop misses g by more than
-    1e-8 on the grid, with the Hardy cutoff M = max(2 * band width, 32) and
-    again with 2M.
+    dropped: the arrays have the support length of c.  One Hardy solve per
+    side, at the cutoff M = max(2 * band width, 32).  Raises NotInTopStratum
+    outside the top stratum (_hardy_columns) and ConvergenceFailure when the
+    resynthesized loop misses g by more than 1e-8 on the grid.
     """
-    tol = 1e-8
-    M = max(2 * g.band_width, 32)
-    last_res = np.inf
-    for M_try in (M, 2 * M):
-        coords = _recover_once(g, l_hint, M_try)
-        resynth = synthesize(coords)
-        n_grid = default_grid_size(max(g.band_width, resynth.band_width))
-        last_res = float(np.abs(evaluate(resynth, n_grid)
-                                - evaluate(g, n_grid)).max())
-        if last_res <= tol:
-            return coords
-    raise ConvergenceFailure(
-        f"recovery residual {last_res:.3e} exceeds tol {tol:.1e}")
+    n_max = g.band_width
+    M = max(2 * n_max, 32)
+    zeta = _above_floor(_peel(*_zeta_columns(g, M), range(1, n_max + 1)))
+    eta = _above_floor(_peel(*_eta_columns(g, M), range(n_max + 1)))
+    # chi: (k1 g star(k2))_00 = e^chi on the circle.  With A = star(k1) and
+    # B = k2 on the synthesis grid, that entry is conj(A[:, 0]) g conj(B[0, :]).
+    empty = np.zeros(0, complex)
+    n_grid = default_grid_size(max(max(len(eta) - 1, 0) + n_max + len(zeta),
+                                   2 * n_max + 1))
+    A = _synth_values(RootCoordsSU2(l_hint, eta, 0j, empty, empty), n_grid)
+    B = _synth_values(RootCoordsSU2(l_hint, empty, 0j, empty, zeta), n_grid)
+    diag = np.einsum("ik,kij,jk->k", np.conj(A[:, 0]), evaluate(g, n_grid),
+                     np.conj(B[0]))
+    ang = np.unwrap(np.angle(diag))
+    spec = np.fft.fft(1j * ang) / n_grid
+    chi0 = 1j * (float(np.mean(ang)) % (2 * np.pi))
+    coords = RootCoordsSU2(l_hint, eta, chi0, _above_floor(spec[1:n_max + 1]), zeta)
+    resynth = synthesize(coords)
+    n_grid = default_grid_size(max(n_max, resynth.band_width))
+    res = float(np.abs(evaluate(resynth, n_grid) - evaluate(g, n_grid)).max())
+    if res > 1e-8:
+        raise ConvergenceFailure(f"recovery residual {res:.3e} exceeds tol 1.0e-08")
+    return coords
 
 
 def recover_eta0(g: LaurentLoop, M: int | None = None) -> complex:

@@ -22,7 +22,6 @@ from .rootsub import _hardy_columns, _peel, _zeta_columns, recover_eta0, synthes
 
 __all__ = [
     "WienerConfig",
-    "sample_brownian_loop",
     "eta0_pushforward_experiment",
     "invariance_experiment",
     "reparam_invariance_experiment",
@@ -38,8 +37,6 @@ _PAULI = (
 
 # _su2_log_vector raises within this distance of the branch cut at -I
 _BRANCH_TOL = 1e-6
-# draws of one walk before it counts as a failed sample
-_ATTEMPTS = 64
 # walks per stacked batch of the walk stream: 256 walks of 257 2x2 complex
 # matrices at the default 256 steps, about 4 MB
 _WALK_CHUNK = 256
@@ -100,55 +97,41 @@ def _su2_log_vector(g: np.ndarray) -> np.ndarray:
     return theta * v / s
 
 
-def _pinned_walks(cfg: WienerConfig, idx):
-    """Pinned walks for the sample indices idx, stacked: (values, resamples).
-
-    values[j] holds walk idx[j] at the steps + 1 grid points and resamples[j]
-    its branch-cut redraws.  Attempt a of sample j draws its increments from
-    default_rng([seed, idx[j], a]); only the samples whose endpoint hits the
-    branch cut are redrawn, at the next attempt.  A sample that hits it on
-    all _ATTEMPTS attempts has resamples[j] == _ATTEMPTS and NaN values.
+def _pinned_walks(cfg: WienerConfig, idx) -> np.ndarray:
+    """Pinned walks for the sample indices idx, stacked: walk idx[j] at the
+    steps + 1 grid points is values[j].  Sample j draws its increments once,
+    from default_rng([seed, idx[j], 0]); the trailing 0 keeps the streams of
+    earlier releases, which redrew a walk at [seed, idx[j], 1], ... when its
+    endpoint hit the branch cut.  A walk whose endpoint is at the cut (about
+    2e-19 per walk for a Haar endpoint) comes back as NaN.
     """
     t = 1.0 / cfg.beta
     scale = np.sqrt(t / cfg.steps) / np.sqrt(2.0)
-    idx = [int(i) for i in idx]
-    values = np.full((len(idx), cfg.steps + 1, 2, 2), np.nan, dtype=complex)
-    v_end = np.zeros((len(idx), 3))
-    resamples = np.zeros(len(idx), dtype=int)
-    todo = np.arange(len(idx))
-    for attempt in range(_ATTEMPTS):
-        if not len(todo):
-            break
-        xi = scale * np.stack([
-            np.random.default_rng([int(cfg.seed), idx[j], attempt])
-            .standard_normal((cfg.steps, 3)) for j in todo])
-        incs = _su2_exp(xi)
-        walk = np.empty((len(todo), cfg.steps + 1, 2, 2), dtype=complex)
-        walk[:, 0] = np.eye(2)
-        for k in range(cfg.steps):
-            np.matmul(walk[:, k], incs[:, k], out=walk[:, k + 1])
-        hit = np.zeros(len(todo), dtype=bool)
-        for r, j in enumerate(todo):
-            try:
-                v_end[j] = _su2_log_vector(walk[r, cfg.steps])
-            except LooplabError:
-                hit[r] = True
-        values[todo[~hit]] = walk[~hit]
-        resamples[todo[hit]] += 1
-        todo = todo[hit]
-    ok = resamples < _ATTEMPTS
+    xi = scale * np.stack([
+        np.random.default_rng([int(cfg.seed), int(i), 0])
+        .standard_normal((cfg.steps, 3)) for i in idx])
+    incs = _su2_exp(xi)
+    values = np.empty((len(xi), cfg.steps + 1, 2, 2), dtype=complex)
+    values[:, 0] = np.eye(2)
+    for k in range(cfg.steps):
+        np.matmul(values[:, k], incs[:, k], out=values[:, k + 1])
+    v_end = np.full((len(xi), 3), np.nan)
+    for j, end in enumerate(values[:, cfg.steps]):
+        try:
+            v_end[j] = _su2_log_vector(end)
+        except LooplabError:
+            pass
     ks = np.arange(cfg.steps + 1) / cfg.steps
-    corr = _su2_exp(-ks[None, :, None] * v_end[ok, None, :])
-    values[ok] = np.einsum("skab,skbc->skac", values[ok], corr)
-    return values, resamples
+    return np.einsum("skab,skbc->skac", values,
+                     _su2_exp(-ks[None, :, None] * v_end[:, None, :]))
 
 
-def _walk_loop(cfg: WienerConfig, pinned: np.ndarray, resamples: int) -> LaurentLoop:
+def _walk_loop(cfg: WienerConfig, pinned: np.ndarray) -> LaurentLoop:
     """The band-limited loop of one pinned walk of _pinned_walks.  The
     endpoint closure g(2 pi) = g(0) is exact by construction of the geodesic
     correction."""
-    if resamples == _ATTEMPTS:
-        raise ExperimentDegenerate("persistent branch-cut failures in the walk")
+    if np.isnan(pinned[-1]).any():
+        raise ExperimentDegenerate("walk endpoint at the branch cut")
     closure = float(np.abs(pinned[-1] - pinned[0]).max())
     if closure > 1e-12:
         raise ExperimentDegenerate(f"loop failed to close: defect {closure:.1e}")
@@ -156,19 +139,12 @@ def _walk_loop(cfg: WienerConfig, pinned: np.ndarray, resamples: int) -> Laurent
     return fourier_project(pinned[:-1], -B, B)
 
 
-def sample_brownian_loop(cfg: WienerConfig, idx: int = 0):
-    """One pinned Brownian loop as a band-limited LaurentLoop: walk idx of
-    _pinned_walks.  Returns (loop, n_resamples)."""
-    pinned, resamples = _pinned_walks(cfg, [idx])
-    return _walk_loop(cfg, pinned[0], resamples[0]), int(resamples[0])
-
-
 def _walk_stream(cfg: WienerConfig):
-    """(pinned walk, resamples) for the samples 0 .. n_samples - 1 in order,
-    drawn _WALK_CHUNK at a time by _pinned_walks."""
+    """The pinned walks of the samples 0 .. n_samples - 1 in order, drawn
+    _WALK_CHUNK at a time by _pinned_walks."""
     for start in range(0, cfg.n_samples, _WALK_CHUNK):
-        chunk = range(start, min(start + _WALK_CHUNK, cfg.n_samples))
-        yield from zip(*_pinned_walks(cfg, chunk))
+        yield from _pinned_walks(
+            cfg, range(start, min(start + _WALK_CHUNK, cfg.n_samples)))
 
 
 def _collect(n: int, draw):
@@ -197,9 +173,6 @@ class Eta0Report:
     n_effective: int
     failure_rate: float
     eta0: np.ndarray
-    # branch-cut redraws summed over the walk stream's samples, failed ones
-    # included; 0 for the exact stream
-    resamples: int = 0
 
 
 def _ks_uniform(u):
@@ -232,13 +205,10 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
         seeds = master.integers(0, 2 ** 62, size=cfg.n_samples)
     else:
         walks = _walk_stream(cfg)
-    resamples = []
 
     def draw(i):
         if reference_level is None:
-            pinned, r = next(walks)
-            resamples.append(r)
-            g = _walk_loop(cfg, pinned, r)
+            g = _walk_loop(cfg, next(walks))
             return recover_eta0(g, M=max(g.band_width, 16))
         g = synthesize(sample_coords(spec, np.random.default_rng(int(seeds[i]))))
         return recover_eta0(g)
@@ -248,7 +218,7 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
     u = np.abs(vals) ** 2 / (1.0 + np.abs(vals) ** 2)
     ks, p = _ks_uniform(u)
     return Eta0Report(ks=ks, pvalue=p, n_effective=len(vals), failure_rate=rate,
-                      eta0=vals, resamples=int(sum(resamples)))
+                      eta0=vals)
 
 
 def _a0(g: LaurentLoop, M: int | None = None) -> float:

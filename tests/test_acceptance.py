@@ -256,6 +256,7 @@ def test_B1_diagonal_law_of_brownian_loops():
     dt = time.time() - t0
     ok = walk_rep.ks < 0.05 and dt < 600
     _report("B1", ok, f"walk KS {walk_rep.ks:.4f} (gate 0.05, reported only), "
+                      f"p={walk_rep.pvalue:.1e}, "
                       f"self-test KS {self_rep.ks:.4f}, "
                       f"failure rate {walk_rep.failure_rate:.3f}, {dt:.0f}s")
     # the conjecture-check itself is reported, not asserted

@@ -87,8 +87,34 @@ def test_roundtrip_gate_green(capsys):
 
 def test_roundtrip_impossible_tol_exits_2(capsys):
     rc, _, _ = _run(capsys, ["roundtrip", "--trials", "2", "--seed", "1",
-                             "--tol", "0"])
+                             "--tol", "1e-300"])
     assert rc == 2
+
+
+def _assert_usage_error(capsys, argv, flag):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and out == "" and err.startswith("usage error") and flag in err
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_sample_n_must_be_positive(capsys, n):
+    _assert_usage_error(capsys, ["sample", "--n", n], "--n")
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "identities"])
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_trials_must_be_positive(capsys, command, trials):
+    _assert_usage_error(capsys, [command, "--trials", trials], "--trials")
+
+
+def test_identities_m_must_be_non_negative(capsys):
+    _assert_usage_error(capsys, ["identities", "--trials", "1", "--m", "-5"], "--m")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_roundtrip_tol_must_be_finite_and_positive(capsys, tol):
+    _assert_usage_error(capsys, ["roundtrip", "--trials", "1", "--tol", tol],
+                        "--tol")
 
 
 def test_diag_small(capsys):

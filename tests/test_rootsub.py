@@ -377,6 +377,41 @@ def test_recover_returns_exact_support(level):
                                                          l_hint=level))
 
 
+def test_recover_at_the_contract_edge():
+    # six coordinates of modulus exactly 0.5 at indices <= 8, the edge of
+    # recover_coords' contract, recovered from one Hardy cutoff
+    sizes = {"eta": 9, "chi": 8, "zeta": 8}
+    slots = [(name, k) for name, n in sizes.items() for k in range(n)]
+    for seed in range(20):
+        rng = np.random.default_rng([71, seed])
+        arrays = {name: np.zeros(n, complex) for name, n in sizes.items()}
+        for j in rng.choice(len(slots), size=6, replace=False):
+            name, k = slots[j]
+            arrays[name][k] = 0.5 * np.exp(2j * np.pi * rng.random())
+        level = float(rng.choice([0.0, 1.0, 3.5]))
+        c = RootCoordsSU2(level, chi0=2j * np.pi * rng.random(), **arrays)
+        _assert_recovered_with_support(c, recover_coords(synthesize(c),
+                                                         l_hint=level))
+
+
+def test_recover_residual_miss_raises_after_one_solve(monkeypatch):
+    # a noise floor above every coordinate zeroes them all: the resynthesized
+    # loop misses g, and recovery fails without a second cutoff
+    g = synthesize(coords(eta=[0.2, 0.1j], chi=[0.05], zeta=[0.3]))
+    cutoffs = []
+
+    def counted(loop, M):
+        cutoffs.append(M)
+        return solve(loop, M)
+
+    solve = rootsub._solve_hardy_columns
+    monkeypatch.setattr(rootsub, "_solve_hardy_columns", counted)
+    monkeypatch.setattr(rootsub, "_NOISE_FLOOR", 1.0)
+    with pytest.raises(ConvergenceFailure, match="recovery residual"):
+        recover_coords(g)
+    assert cutoffs == [max(2 * g.band_width, 32)] * 2
+
+
 def test_recover_small_coordinate_above_noise_floor():
     c = coords(eta=[0.2, 0.0, 1e-7j], chi=[0.1], zeta=[0.0, 1e-7])
     rec = recover_coords(synthesize(c), l_hint=0.0)

@@ -13,9 +13,9 @@ from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import (_hardy_columns, log_product_formula, recover_coords,
                              recover_eta0, synthesize)
 from looplab.wiener import (_OBSERVABLES, WienerConfig, _collect, _ks_two_sample,
-                            _ks_uniform, _pinned_walks, _walk_stream,
+                            _ks_uniform, _pinned_walks, _walk_loop, _walk_stream,
                             eta0_pushforward_experiment, invariance_experiment,
-                            reparam_invariance_experiment, sample_brownian_loop)
+                            reparam_invariance_experiment)
 
 from oracles import pinned_walk, raw_walk
 
@@ -39,7 +39,7 @@ def test_eta0_experiment_zero_samples_rejected():
 
 def test_walk_closes_exactly():
     cfg = WienerConfig(beta=1.0, steps=64, n_samples=1, seed=11)
-    pinned = _pinned_walks(cfg, [0])[0][0]
+    pinned = _pinned_walks(cfg, [0])[0]
     assert np.abs(pinned[-1] - pinned[0]).max() < 1e-12
     # every grid value stays in the unitary group
     prods = np.einsum("kab,kcb->kac", pinned, pinned.conj())
@@ -51,13 +51,11 @@ def test_pinned_walks_match_the_oracle_bitwise():
     cfg = WienerConfig(beta=0.05, steps=256, n_samples=300, seed=3)
     stream = list(_walk_stream(cfg))
     assert len(stream) == 300
-    for i, (values, resamples) in enumerate(stream):
-        ref, ref_resamples = pinned_walk(cfg, i)
-        assert resamples == ref_resamples
-        assert values.tobytes() == ref.tobytes()
-    values, resamples = _pinned_walks(cfg, [299, 0, 257])
+    for i, values in enumerate(stream):
+        assert values.tobytes() == pinned_walk(cfg, i).tobytes()
+    values = _pinned_walks(cfg, [299, 0, 257])
     for j, i in enumerate([299, 0, 257]):
-        assert values[j].tobytes() == stream[i][0].tobytes()
+        assert values[j].tobytes() == stream[i].tobytes()
 
 
 def _branch_cut_at(monkeypatch, endpoints):
@@ -72,42 +70,32 @@ def _branch_cut_at(monkeypatch, endpoints):
     monkeypatch.setattr(wiener, "_su2_log_vector", log_vector)
 
 
-def test_branch_cut_hit_redraws_only_that_sample(monkeypatch):
+def test_branch_cut_hit_fails_only_its_draw(monkeypatch):
     cfg = WienerConfig(beta=1.0, steps=32, n_samples=5, seed=11)
-    clean, clean_resamples = _pinned_walks(cfg, range(5))
-    assert not clean_resamples.any()
-    # sample 3 hits the cut on its attempts 0 and 1
-    _branch_cut_at(monkeypatch, [raw_walk(cfg, 3, a)[-1] for a in (0, 1)])
-    values, resamples = _pinned_walks(cfg, range(5))
-    assert resamples.tolist() == [0, 0, 0, 2, 0]
-    for i in (0, 1, 2, 4):
-        assert values[i].tobytes() == clean[i].tobytes()
-    ref, ref_resamples = pinned_walk(cfg, 3)
-    assert ref_resamples == 2 and values[3].tobytes() == ref.tobytes()
-    assert sample_brownian_loop(cfg, 3)[1] == 2
-    assert eta0_pushforward_experiment(cfg).resamples == 2
-
-
-def test_walk_failing_every_attempt_fails_only_its_draw(monkeypatch):
-    cfg = WienerConfig(beta=1.0, steps=32, n_samples=5, seed=11)
+    clean_values = _pinned_walks(cfg, range(5))
     clean = eta0_pushforward_experiment(cfg)
-    assert clean.n_effective == 5 and clean.resamples == 0
-    _branch_cut_at(monkeypatch, [raw_walk(cfg, 2, a)[-1] for a in range(64)])
-    values, resamples = _pinned_walks(cfg, range(5))
-    assert resamples.tolist() == [0, 0, 64, 0, 0]
+    assert clean.n_effective == 5
+    # sample 2's endpoint hits the cut: no redraw, its walk comes back NaN
+    _branch_cut_at(monkeypatch, [raw_walk(cfg, 2)[-1]])
+    values = _pinned_walks(cfg, range(5))
     assert np.isnan(values[2]).all()
-    with pytest.raises(ExperimentDegenerate, match="branch-cut"):
-        sample_brownian_loop(cfg, 2)
+    for i in (0, 1, 3, 4):
+        assert values[i].tobytes() == clean_values[i].tobytes()
+    with pytest.raises(ExperimentDegenerate, match="branch cut"):
+        _walk_loop(cfg, values[2])
     rep = eta0_pushforward_experiment(cfg)
     assert rep.n_effective == 4 and rep.failure_rate == 0.2
-    assert rep.resamples == 64
-    np.testing.assert_array_equal(rep.eta0, np.delete(clean.eta0, 2))
+    assert np.delete(clean.eta0, 2).tobytes() == rep.eta0.tobytes()
+
+
+def _walk_loop_at(cfg, i):
+    return _walk_loop(cfg, _pinned_walks(cfg, [i])[0])
 
 
 def test_sample_deterministic():
     cfg = WienerConfig(beta=0.5, steps=32, n_samples=1, seed=7)
-    a, _ = sample_brownian_loop(cfg, 3)
-    b, _ = sample_brownian_loop(cfg, 3)
+    a = _walk_loop_at(cfg, 3)
+    b = _walk_loop_at(cfg, 3)
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
@@ -116,7 +104,7 @@ def test_low_temperature_stays_near_constant():
     cfg = WienerConfig(beta=100.0, steps=64, n_samples=1, seed=0)
     sups = []
     for i in range(20):
-        g, _ = sample_brownian_loop(cfg, i)
+        g = _walk_loop_at(cfg, i)
         vals = evaluate(g, 64)
         sups.append(np.abs(vals - vals[0]).max())
     assert np.median(sups) < 0.5
@@ -124,7 +112,7 @@ def test_low_temperature_stays_near_constant():
 
 def test_projection_defect_controlled():
     cfg = WienerConfig(beta=2.0, steps=128, n_samples=1, seed=5)
-    g, _ = sample_brownian_loop(cfg, 0)
+    g = _walk_loop_at(cfg, 0)
     # band-limited projection of a unitary path: defect small at moderate beta
     assert unitarity_defect(g, 256) < 0.05
 
@@ -311,8 +299,7 @@ def test_converged_observables_match_closed_forms(truncation, level):
 
 
 def test_converged_cutoff_of_a_walk_loop_exceeds_its_band():
-    g, _ = sample_brownian_loop(WienerConfig(beta=0.5, steps=256, n_samples=1,
-                                             seed=17))
+    g = _walk_loop_at(WienerConfig(beta=0.5, steps=256, n_samples=1, seed=17), 0)
     M = _chosen_cutoff(star(g))
     assert M > g.band_width
     # past the indicator, doubling the section moves eta_0 by under 1e-10
