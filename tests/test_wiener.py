@@ -70,19 +70,28 @@ def _branch_cut_at(monkeypatch, endpoints):
     monkeypatch.setattr(wiener, "_su2_log_vector", log_vector)
 
 
-def test_branch_cut_hit_fails_only_its_draw(monkeypatch):
+def test_branch_cut_hit_redraws_only_that_sample(monkeypatch):
     cfg = WienerConfig(beta=1.0, steps=32, n_samples=5, seed=11)
-    clean_values = _pinned_walks(cfg, range(5))
+    clean = _pinned_walks(cfg, range(5))
+    # sample 3's endpoint hits the cut: it is not redrawn, its walk comes back
+    # NaN, and every other sample keeps its bits
+    _branch_cut_at(monkeypatch, [raw_walk(cfg, 3)[-1]])
+    values = _pinned_walks(cfg, range(5))
+    assert np.isnan(values[3]).all()
+    for i in (0, 1, 2, 4):
+        assert values[i].tobytes() == clean[i].tobytes()
+        assert values[i].tobytes() == pinned_walk(cfg, i).tobytes()
+    with pytest.raises(ExperimentDegenerate, match="branch cut"):
+        _walk_loop(cfg, values[3])
+
+
+def test_walk_failing_every_attempt_fails_only_its_draw(monkeypatch):
+    cfg = WienerConfig(beta=1.0, steps=32, n_samples=5, seed=11)
     clean = eta0_pushforward_experiment(cfg)
     assert clean.n_effective == 5
-    # sample 2's endpoint hits the cut: no redraw, its walk comes back NaN
+    # each walk gets one attempt; sample 2's fails at the cut
     _branch_cut_at(monkeypatch, [raw_walk(cfg, 2)[-1]])
-    values = _pinned_walks(cfg, range(5))
-    assert np.isnan(values[2]).all()
-    for i in (0, 1, 3, 4):
-        assert values[i].tobytes() == clean_values[i].tobytes()
-    with pytest.raises(ExperimentDegenerate, match="branch cut"):
-        _walk_loop(cfg, values[2])
+    assert np.isnan(_pinned_walks(cfg, [2])[0]).all()
     rep = eta0_pushforward_experiment(cfg)
     assert rep.n_effective == 4 and rep.failure_rate == 0.2
     assert np.delete(clean.eta0, 2).tobytes() == rep.eta0.tobytes()
