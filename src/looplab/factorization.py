@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import zgesv
+from scipy.linalg.lapack import zgesv, zgetrs
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_count
 from .loops import LaurentLoop, default_grid_size, evaluate, multiply
@@ -75,22 +75,40 @@ def log_det_AstarA(T: ToeplitzBlock) -> float:
     return float(2.0 * np.linalg.slogdet(T.matrix)[1])
 
 
-def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
-    """Solve A(g) X = E0 for the (M+1) stacked 2x2 blocks of (g0 g_plus)^-1.
+def _hardy_lu_solve(g: LaurentLoop, M: int):
+    """Solve A X = E0, A = T_M(g), for the (M+1) stacked 2x2 blocks of
+    (g0 g_plus)^-1, by one LU of A.
 
-    Returns X of shape (M+1, dim, dim).
+    Returns X of shape (M+1, dim, dim) and the LU factors (lu, piv) of A, on
+    which _adjoint_hardy_columns solves for star(g).  Raises
+    ConvergenceFailure when A is singular.
     """
     d = g.dim
-    A = toeplitz(g, M, shifted=False).matrix
-    E = np.zeros((A.shape[0], d), dtype=complex, order="F")
-    E[:d, :d] = np.eye(d)
+    A = toeplitz(g, M).matrix
+    E = np.eye(A.shape[0], d, dtype=complex, order="F")
     # LU in place: no copy of the matrix beside the one toeplitz built
-    _, _, X, info = zgesv(A, E, overwrite_a=True, overwrite_b=True)
+    lu, piv, X, info = zgesv(A, E, overwrite_a=True, overwrite_b=True)
     if info != 0:
         raise ConvergenceFailure(
             "block Toeplitz truncation is singular (loop outside the top "
             "stratum or nonzero winding)")
-    return X.reshape(M + 1, d, d)
+    return X.reshape(M + 1, d, d), lu, piv
+
+
+def _adjoint_hardy_columns(lu: np.ndarray, piv: np.ndarray, d: int) -> np.ndarray:
+    """The Hardy columns of star(g), of shape (M+1, d, d), from the LU factors
+    (lu, piv) of A = T_M(g): block (j, k) of both T_M(star g) and A^H is
+    c_{k-j}^dagger, so they solve A^H X = E0 on the same LU.
+    """
+    E = np.eye(lu.shape[0], d, dtype=complex, order="F")
+    X, _ = zgetrs(lu, piv, E, trans=2, overwrite_b=True)
+    return X.reshape(-1, d, d)
+
+
+def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
+    """The Hardy columns X of g alone, of shape (M+1, dim, dim)
+    (_hardy_lu_solve)."""
+    return _hardy_lu_solve(g, M)[0]
 
 
 def birkhoff_factor(g: LaurentLoop, M: int):

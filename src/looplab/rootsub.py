@@ -2,8 +2,9 @@
 
 Synthesis builds the unitary loop g = k1^* . exp(chi) . k2 from finitely
 supported coordinate sequences; recovery peels the coordinates back off a
-loop through two Hardy-space solves and sparse factor stripping; the product
-formulas give the closed-form truncated Toeplitz determinants.
+loop through the Hardy-space solves of g and star(g), which share one LU,
+and sparse factor stripping; the product formulas give the closed-form
+truncated Toeplitz determinants.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_level
-from .factorization import _solve_hardy_columns
+from .factorization import (_adjoint_hardy_columns, _hardy_lu_solve,
+                            _solve_hardy_columns)
 from .loops import LaurentLoop, default_grid_size, evaluate, star
 
 __all__ = [
@@ -214,29 +216,42 @@ def _converged_hardy_columns(g: LaurentLoop) -> np.ndarray:
         M = min(max(M + 1, math.ceil(1.25 * M)), cap)
 
 
-def _hardy_columns(g: LaurentLoop, M: int | None = None) -> np.ndarray:
-    """Hardy columns X of g in the top stratum: H = X[0] = g0^-1 must have
+def _top_stratum(X: np.ndarray) -> np.ndarray:
+    """Hardy columns X in the top stratum: H = X[0] = g0^-1 must have
     |H_22| >= 1e-12 max|H|, as an LDU of g0 divides by (g0)_11 = H_22 / det H.
-    Raises NotInTopStratum otherwise.  M=None is the converged solve
-    (_converged_hardy_columns); an integer M is the literal finite section."""
-    X = _converged_hardy_columns(g) if M is None else _solve_hardy_columns(g, M)
+    Raises NotInTopStratum otherwise."""
     H = X[0]
     if abs(H[1, 1]) < 1e-12 * max(abs(H).max(), 1e-300):
         raise NotInTopStratum("vanishing (2,2) entry in constant block")
     return X
 
 
-def _zeta_columns(g: LaurentLoop, M: int | None):
-    """Rows (lead, tail) for the zeta peel: the Hardy columns of g combined
+def _hardy_columns(g: LaurentLoop, M: int | None = None) -> np.ndarray:
+    """Hardy columns X of g, checked by _top_stratum.  M=None is the converged
+    solve (_converged_hardy_columns); an integer M is the literal finite
+    section."""
+    return _top_stratum(_converged_hardy_columns(g) if M is None
+                        else _solve_hardy_columns(g, M))
+
+
+def _hardy_columns_and_star(g: LaurentLoop, M: int):
+    """Hardy columns of g and of star(g) at the cutoff M, each checked by
+    _top_stratum, from one LU of T_M(g): the star(g) side is the
+    conjugate-transpose solve, as T_M(star g) = T_M(g)^H.  The LU is freed
+    on return."""
+    X, lu, piv = _hardy_lu_solve(g, M)
+    return _top_stratum(X), _top_stratum(_adjoint_hardy_columns(lu, piv, g.dim))
+
+
+def _zeta_columns(X: np.ndarray):
+    """Rows (lead, tail) for the zeta peel: the Hardy columns X of g combined
     as X @ [H_22, -H_21], proportional to e^{-chi_+} (d2, -c2)^T."""
-    X = _hardy_columns(g, M)
     return (X @ np.array([X[0, 1, 1], -X[0, 1, 0]])).T
 
 
-def _eta_columns(g: LaurentLoop, M: int | None):
-    """(lead, tail) for the eta peel: the second Hardy column of star(g),
-    proportional to e^{-chi_+} (-b1, a1)^T."""
-    X = _hardy_columns(star(g), M)
+def _eta_columns(X: np.ndarray):
+    """(lead, tail) for the eta peel: the second of the Hardy columns X of
+    star(g), proportional to e^{-chi_+} (-b1, a1)^T."""
     return X[:, 1, 1], X[:, 0, 1]
 
 
@@ -246,17 +261,25 @@ def _peel(lead: np.ndarray, tail: np.ndarray, indices) -> np.ndarray:
     The z^n coefficient of tail/lead at the innermost remaining index n is
     the conjugate of that factor's coordinate; each extraction updates the
     pair by the inverse factor (overall scalar prefactors are irrelevant).
+    The pair is copied once and updated in place.
     """
     M = len(lead) - 1
+    lead, tail = lead.copy(), tail.copy()
     coords = []
     for n in indices:
         if abs(lead[0]) < 1e-300:
             raise NotInTopStratum("vanishing leading coefficient during peel")
         cbar = tail[n] / lead[0]
         coords.append(np.conj(cbar))
-        tail, lead = (tail - cbar * np.concatenate([np.zeros(n), lead[:M + 1 - n]]),
-                      lead + coords[-1] * np.concatenate([tail[n:], np.zeros(n)]))
+        step = cbar * lead[:M + 1 - n]
+        lead[:M + 1 - n] += coords[-1] * tail[n:]
+        tail[n:] -= step
     return np.array(coords, dtype=complex)
+
+
+def _check_su2(g: LaurentLoop) -> None:
+    if g.dim != 2:
+        raise InvalidInput(f"SU(2) coordinates need a 2x2 loop, got dim {g.dim}")
 
 
 def _above_floor(c: np.ndarray) -> np.ndarray:
@@ -270,15 +293,21 @@ def recover_coords(g: LaurentLoop, l_hint: float = 0.0) -> RootCoordsSU2:
     Contract: for g = synthesize(c) with support <= 8 and moduli <= 0.5,
     the result matches c to 1e-8 per coordinate.  Coordinates of modulus at
     or below the noise floor 1e-9 are returned as zero and trailing zeros
-    dropped: the arrays have the support length of c.  One Hardy solve per
-    side, at the cutoff M = max(2 * band width, 32).  Raises NotInTopStratum
-    outside the top stratum (_hardy_columns) and ConvergenceFailure when the
-    resynthesized loop misses g by more than 1e-8 on the grid.
+    dropped: the arrays have the support length of c.  One LU of T_M(g), at
+    the cutoff M = max(2 * band width, 32), serves both sides: the zeta side
+    solves T_M(g) X = E0 and the eta side T_M(g)^H X = E0, as
+    T_M(star g) = T_M(g)^H.  Raises InvalidInput for a loop that is not 2x2,
+    InvalidLevel for a bad l_hint, NotInTopStratum outside the top stratum
+    (_hardy_columns_and_star) and ConvergenceFailure when the resynthesized loop misses
+    g by more than 1e-8 on the grid.
     """
+    _check_su2(g)
+    check_level(l_hint)
     n_max = g.band_width
     M = max(2 * n_max, 32)
-    zeta = _above_floor(_peel(*_zeta_columns(g, M), range(1, n_max + 1)))
-    eta = _above_floor(_peel(*_eta_columns(g, M), range(n_max + 1)))
+    X, X_star = _hardy_columns_and_star(g, M)
+    zeta = _above_floor(_peel(*_zeta_columns(X), range(1, n_max + 1)))
+    eta = _above_floor(_peel(*_eta_columns(X_star), range(n_max + 1)))
     # chi: (k1 g star(k2))_00 = e^chi on the circle.  With A = star(k1) and
     # B = k2 on the synthesis grid, that entry is conj(A[:, 0]) g conj(B[0, :]).
     empty = np.zeros(0, complex)
@@ -304,8 +333,10 @@ def recover_eta0(g: LaurentLoop, M: int | None = None) -> complex:
     """Fast path for eta_0 alone: the first step of the eta peel, one Hardy
     solve of star(g).  eta_0 = conj of the (1,2)/(2,2) ratio of its constant
     block.  M=None is the converged solve, an integer M the literal finite
-    section (_hardy_columns)."""
-    return complex(_peel(*_eta_columns(g, M), [0])[0])
+    section (_hardy_columns).  Raises InvalidInput for a loop that is not
+    2x2."""
+    _check_su2(g)
+    return complex(_peel(*_eta_columns(_hardy_columns(star(g), M)), [0])[0])
 
 
 def coords_max_error(c1: RootCoordsSU2, c2: RootCoordsSU2) -> float:

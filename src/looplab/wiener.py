@@ -233,7 +233,8 @@ def _a0(g: LaurentLoop, M: int | None = None) -> float:
 _OBSERVABLES = {
     "a0": _a0,
     "abs_eta0": lambda g, M=None: abs(recover_eta0(g, M=M)),
-    "abs_zeta1": lambda g, M=None: float(abs(_peel(*_zeta_columns(g, M), [1])[0])),
+    "abs_zeta1": lambda g, M=None: float(
+        abs(_peel(*_zeta_columns(_hardy_columns(g, M)), [1])[0])),
 }
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zgesv
 
 from looplab.errors import ConvergenceFailure, InvalidInput, NotInTopStratum
 from looplab.factorization import (_solve_hardy_columns, a0_from_dets,
                                    birkhoff_factor, ldu_2x2, log_det_AstarA,
                                    toeplitz, triangular_factor)
 from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict,
-                           identity_loop, multiply)
+                           identity_loop, multiply, star)
 from looplab.measures import MeasureSpec, sample_coords
-from looplab.rootsub import RootCoordsSU2, recover_eta0, synthesize
+from looplab.rootsub import (RootCoordsSU2, random_coords, recover_coords,
+                             recover_eta0, synthesize)
 
 E = np.array([], dtype=complex)
 
@@ -67,6 +69,35 @@ def test_toeplitz_matches_block_reference(M, shifted):
     g = LaurentLoop(2, -3, 5, c)
     np.testing.assert_array_equal(toeplitz(g, M, shifted=shifted).matrix,
                                   _block_reference(g, M, shifted))
+
+
+@pytest.mark.parametrize("M", [0, 2, 5, 8])
+def test_toeplitz_of_star_is_the_adjoint(M):
+    # block (j, k) of both is c_{k-j}^dagger: one LU serves g and star(g)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+    g = LaurentLoop(2, -3, 5, c)
+    np.testing.assert_array_equal(toeplitz(star(g), M).matrix,
+                                  toeplitz(g, M).matrix.conj().T)
+
+
+def test_hardy_solve_is_bitwise_gesv():
+    # the g side of the shared LU is one plain gesv call
+    for i, level in enumerate([0.0, 1.0, 3.5] * 3):
+        g = synthesize(random_coords(np.random.default_rng([19, i]), level))
+        for M in (16, max(g.band_width, 16), max(2 * g.band_width, 32)):
+            A = toeplitz(g, M).matrix
+            X = zgesv(A, np.eye(A.shape[0], 2, dtype=complex))[2]
+            np.testing.assert_array_equal(
+                _solve_hardy_columns(g, M).reshape(-1, 2), X)
+
+
+def test_zero_loop_factorization_raises():
+    g = from_coeff_dict({0: np.zeros((2, 2))})
+    with pytest.raises(ConvergenceFailure, match="singular"):
+        _solve_hardy_columns(g, 4)
+    with pytest.raises(ConvergenceFailure, match="singular"):
+        recover_coords(g)
 
 
 def test_hardy_solve_below_band_is_the_finite_section_solve():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from looplab import rootsub
+from looplab import factorization, rootsub
 from looplab.errors import ConvergenceFailure, InvalidInput, InvalidLevel
-from looplab.factorization import a0_from_dets, log_det_AstarA, toeplitz
+from looplab.factorization import (_adjoint_hardy_columns, _hardy_lu_solve,
+                                   _solve_hardy_columns, a0_from_dets,
+                                   log_det_AstarA, toeplitz)
 from looplab.loops import (LaurentLoop, default_grid_size, evaluate,
                            fourier_project, from_coeff_dict,
                            identity_loop, multiply, star, unitarity_defect)
@@ -394,22 +396,55 @@ def test_recover_at_the_contract_edge():
                                                          l_hint=level))
 
 
-def test_recover_residual_miss_raises_after_one_solve(monkeypatch):
-    # a noise floor above every coordinate zeroes them all: the resynthesized
-    # loop misses g, and recovery fails without a second cutoff
-    g = synthesize(coords(eta=[0.2, 0.1j], chi=[0.05], zeta=[0.3]))
+def _count_factorizations(monkeypatch):
+    """Record the cutoff of every LU of a finite section, made in rootsub or
+    through the factorization module's own solve."""
     cutoffs = []
+    solve = factorization._hardy_lu_solve
 
     def counted(loop, M):
         cutoffs.append(M)
         return solve(loop, M)
 
-    solve = rootsub._solve_hardy_columns
-    monkeypatch.setattr(rootsub, "_solve_hardy_columns", counted)
+    monkeypatch.setattr(factorization, "_hardy_lu_solve", counted)
+    monkeypatch.setattr(rootsub, "_hardy_lu_solve", counted)
+    return cutoffs
+
+
+def test_recover_residual_miss_raises_after_one_solve(monkeypatch):
+    # a noise floor above every coordinate zeroes them all: the resynthesized
+    # loop misses g, and recovery fails without a second cutoff; the eta and
+    # zeta sides share one factorization
+    g = synthesize(coords(eta=[0.2, 0.1j], chi=[0.05], zeta=[0.3]))
+    cutoffs = _count_factorizations(monkeypatch)
     monkeypatch.setattr(rootsub, "_NOISE_FLOOR", 1.0)
     with pytest.raises(ConvergenceFailure, match="recovery residual"):
         recover_coords(g)
-    assert cutoffs == [max(2 * g.band_width, 32)] * 2
+    assert cutoffs == [max(2 * g.band_width, 32)]
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 3.5])
+def test_adjoint_solve_gives_the_star_columns(level):
+    for seed in range(3):
+        g = synthesize(random_coords(np.random.default_rng([23, seed]), level))
+        M = max(2 * g.band_width, 32)
+        _, lu, piv = _hardy_lu_solve(g, M)
+        X_star = _adjoint_hardy_columns(lu, piv, 2)
+        assert np.abs(X_star - _solve_hardy_columns(star(g), M)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("call", [recover_coords, recover_eta0])
+def test_recovery_rejects_loops_that_are_not_2x2(call, dim):
+    with pytest.raises(InvalidInput, match="2x2 loop"):
+        call(identity_loop(dim))
+
+
+def test_recover_checks_level_before_factoring(monkeypatch):
+    cutoffs = _count_factorizations(monkeypatch)
+    with pytest.raises(InvalidLevel):
+        recover_coords(synthesize(coords(eta=[0.2])), l_hint=float("nan"))
+    assert cutoffs == []
 
 
 def test_recover_small_coordinate_above_noise_floor():
