@@ -49,30 +49,47 @@ def toeplitz(g: LaurentLoop, M: int, shifted: bool = False) -> ToeplitzBlock:
     given: only the c_n with |n| <= M enter, whatever the band of g."""
     check_count("M", M, 0)
     d = g.dim
-    # block (j, k) is c_{j-k}: lay the c_n with |n| <= M out in one zero-padded
-    # array, rev[M - n] = c_n, and read block row j as a sliding window
+    n = d * (M + 1)
+    # A is written in Fortran order, which LAPACK solves in place.  Its
+    # column (k, b) is the run c_{j-k}[:, b], j = 0..M: lay the c_n with
+    # |n| <= M out once as R[b, m, a] = c_{m-M}[a, b], zero-padded, so that
+    # each column is the contiguous window R[b, M-k:2M-k+1] read flat
     lo, hi = max(g.n_min, -M), min(g.n_max, M)
-    rev = np.zeros((2 * M + 1, d, d), dtype=complex)
-    rev[M - hi:M - lo + 1] = g.coeffs[lo - g.n_min:hi - g.n_min + 1][::-1]
-    win = np.lib.stride_tricks.sliding_window_view(rev, M + 1, axis=0)
-    A4 = win[M::-1]                        # (M+1, d, d, M+1): [j, a, b, k]
-    # written straight into Fortran order, which LAPACK solves in place:
-    # A.T is C-ordered, with A.T[(k, b), (j, a)] = c_{j-k}[a, b]
-    A = np.empty((d * (M + 1),) * 2, dtype=complex, order="F")
-    A.T.reshape(M + 1, d, M + 1, d)[...] = A4.transpose(3, 2, 0, 1)
+    R = np.zeros((d, 2 * M + 1, d), dtype=complex)
+    R[:, M + lo:M + hi + 1] = (
+        g.coeffs[lo - g.n_min:hi - g.n_min + 1].transpose(2, 0, 1))
+    s = R.itemsize
+    # win[i, b] is the window of column (M - i, b)
+    win = np.lib.stride_tricks.as_strided(
+        R, shape=(M + 1, d, n), strides=(d * s, (2 * M + 1) * d * s, s),
+        writeable=False)
+    A = np.empty((n, n), dtype=complex, order="F")
+    A.T.reshape(M + 1, d, n)[...] = win[::-1]
     if shifted:
         # drop the (mode 0, e_2) row and column (global index 1)
-        keep = np.ones(A.shape[0], dtype=bool)
-        keep[1] = False
-        A = A[np.ix_(keep, keep)]
+        B = np.empty((n - 1, n - 1), dtype=complex, order="F")
+        B[:1, :1] = A[:1, :1]
+        B[:1, 1:] = A[:1, 2:]
+        B[1:, :1] = A[2:, :1]
+        B[1:, 1:] = A[2:, 2:]
+        A = B
     return ToeplitzBlock(A)
 
 
 def log_det_AstarA(T: ToeplitzBlock) -> float:
-    """log det(A* A) = 2 log |det A|, read off the LU of A (the factorization
-    the Hardy solve uses).  Exactly singular truncations return -inf.
+    """log det(A* A) = 2 log |det A| = 2 sum_i log |U_ii|, read off the LU of
+    A by zgesv, the factorization the Hardy solve uses.  Exactly singular
+    truncations return -inf.
+
+    OpenBLAS does not thread zgesv at these sizes, so the value does not
+    depend on the BLAS thread count, as that of a threaded getrf would.
     """
-    return float(2.0 * np.linalg.slogdet(T.matrix)[1])
+    A = np.array(T.matrix, dtype=complex, order="F")
+    lu, _, _, info = zgesv(A, np.zeros((A.shape[0], 1), dtype=complex),
+                           overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        return -np.inf
+    return float(2.0 * np.log(np.abs(np.diagonal(lu))).sum())
 
 
 def _hardy_lu_solve(g: LaurentLoop, M: int):

@@ -186,6 +186,9 @@ def unitarity_defect(g: LaurentLoop, n_grid: int | None = None) -> float:
     return float(np.abs(prod).max())
 
 
+# byte budget of one grid block of mobius_reparam's power table, so that its
+# memory does not grow with the band
+_POWER_TABLE_BYTES = 1 << 20
 # largest | |a|^2 - |b|^2 - 1 | mobius_check accepts
 _MOBIUS_TOL = 1e-9
 
@@ -225,22 +228,33 @@ def mobius_reparam(g: LaurentLoop, a: complex, b: complex,
     # sigma^-1 = (conj(a), -b)
     z = mobius_apply(np.conj(a), -b, w)
     z /= np.abs(z)  # keep exactly on the circle against rounding
-    # g at z by Horner in z and 1/z, one row per matrix entry: (dim^2, n_grid)
-    c = g.coeffs.reshape(-1, g.dim * g.dim, 1)
-    vals = np.zeros((g.dim * g.dim, n_grid), dtype=complex)
-    for n in range(g.n_max, -1, -1):
-        vals *= z
-        vals += c[n - g.n_min]
-    if g.n_min < 0:
-        zi = 1.0 / z
-        neg = np.zeros_like(vals)
-        for n in range(g.n_min, 0):
-            neg += c[n - g.n_min]
-            if n < -1:
-                neg *= zi
-        neg *= zi
-        vals += neg
-    samples = vals.T.reshape(n_grid, g.dim, g.dim)
+    # g at z from a table of powers z^0..z^top, one GEMM per side of the band:
+    # z^-n = conj(z^n) on the circle, so the modes < 0 are conj(P @ conj(c))
+    dd = g.dim * g.dim
+    c = g.coeffs.reshape(-1, dd)
+    pos = c[-g.n_min:]                      # c_0 .. c_{n_max}
+    neg = np.conj(c[:-g.n_min][::-1])       # conj(c_-1) .. conj(c_{n_min})
+    top = max(g.n_max, -g.n_min)
+    vals = np.empty((n_grid, dd), dtype=complex)
+    # P[n, i] = z_i^n on one block of grid points at a time
+    rows = max(1, _POWER_TABLE_BYTES // (16 * (top + 1)))
+    P = np.empty((top + 1, min(rows, n_grid)), dtype=complex)
+    for r0 in range(0, n_grid, rows):
+        zb = z[r0:r0 + rows]
+        Pb = P[:, :len(zb)]
+        Pb[0] = 1.0
+        Pb[1:2] = zb                        # no row when top = 0
+        # doubling: with z^0..z^m in hand, z^{m+j} = z^m z^j for j = 1..m
+        m = 1
+        while m < top:
+            k = min(m, top - m)
+            np.multiply(Pb[1:k + 1], Pb[m], out=Pb[m + 1:m + k + 1])
+            m += k
+        out = vals[r0:r0 + rows]
+        np.matmul(Pb[:g.n_max + 1].T, pos, out=out)
+        if g.n_min < 0:
+            out += np.conj(Pb[1:1 - g.n_min].T @ neg)
+    samples = vals.reshape(n_grid, g.dim, g.dim)
     return fourier_project(samples, -band_out, band_out)
 
 

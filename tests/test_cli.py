@@ -200,15 +200,31 @@ def test_reparam_rotation_abs_zeta1(capsys):
     assert json.loads(out)["max_per_sample_diff"] < 1e-9
 
 
+def _run_module(module, argv, **env_extra):
+    """The command run as ``python -m module`` in a fresh interpreter."""
+    env = dict(os.environ, **env_extra)
+    src = str(Path(looplab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("module", ["looplab.cli", "looplab"])
 def test_module_entry_point_matches_run(capsys, module):
     argv = ["affine", "--type", "A", "--rank", "1"]
     rc, out, _ = _run(capsys, argv)
-    env = dict(os.environ)
-    src = str(Path(looplab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_module(module, argv)
     assert out
     assert (proc.returncode, proc.stdout) == (rc, out)
+
+
+def test_identities_output_does_not_depend_on_blas_threads():
+    # the log dets come from the zgesv LU, which OpenBLAS does not thread at
+    # these sizes; a threaded getrf rounds differently with 2 threads
+    argv = ["identities", "--level", "0", "--m", "64", "--trials", "8",
+            "--seed", "7"]
+    one, two = (_run_module("looplab", argv, OPENBLAS_NUM_THREADS=n)
+                for n in ("1", "2"))
+    assert one.returncode == 0 and one.stdout
+    assert (two.returncode, two.stdout) == (one.returncode, one.stdout)

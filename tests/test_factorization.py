@@ -59,16 +59,28 @@ def _block_reference(g, M, shifted):
     return A
 
 
-# band [-3, 5]: M = 0, 2 cut both sides, M = 4 only the top, M = 5 is the
-# band width and M = 8 lies past it
-@pytest.mark.parametrize("M", [0, 2, 4, 5, 8])
-@pytest.mark.parametrize("shifted", [False, True])
-def test_toeplitz_matches_block_reference(M, shifted):
+# (dim, n_min, n_max) by id prefix: band [-3, 5] in dims 2, 1 and 3, and a
+# loop with n_min = 0 (as birkhoff_factor's series s) or n_max = 0.  On band
+# [-3, 5], M = 0, 2 cut both sides, M = 4 only the top, M = 5 is the band
+# width and M = 8 lies past it.  Dim 1 has no e_2 mode to drop at M = 0.
+_TOEPLITZ_LOOPS = {"": (2, -3, 5), "dim1-": (1, -3, 5), "dim3-": (3, -3, 5),
+                   "n_min0-": (2, 0, 5), "n_max0-": (2, -3, 0)}
+
+
+@pytest.mark.parametrize("shape, shifted, M", [
+    pytest.param(shape, shifted, M, id=f"{name}{shifted}-{M}")
+    for name, shape in _TOEPLITZ_LOOPS.items()
+    for shifted in (False, True) for M in (0, 2, 4, 5, 8)
+    if not (shape[0] == 1 and shifted and M == 0)])
+def test_toeplitz_matches_block_reference(shape, shifted, M):
+    d, n_min, n_max = shape
     rng = np.random.default_rng(4)
-    c = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
-    g = LaurentLoop(2, -3, 5, c)
-    np.testing.assert_array_equal(toeplitz(g, M, shifted=shifted).matrix,
-                                  _block_reference(g, M, shifted))
+    c = rng.standard_normal((n_max - n_min + 1, d, d))
+    g = LaurentLoop(d, n_min, n_max, c + 1j * rng.standard_normal(c.shape))
+    A = toeplitz(g, M, shifted=shifted).matrix
+    # LAPACK solves the section in place in Fortran order
+    assert A.flags.f_contiguous
+    np.testing.assert_array_equal(A, _block_reference(g, M, shifted))
 
 
 @pytest.mark.parametrize("M", [0, 2, 5, 8])

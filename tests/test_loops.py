@@ -220,14 +220,17 @@ def test_mobius_hyperbolic_grid_oracle():
 
 
 @pytest.mark.parametrize("n_min, n_max, dim", [(-7, 5, 2), (0, 4, 3), (-3, 0, 1)])
-def test_mobius_reparam_is_the_oracle_projection_bitwise(n_min, n_max, dim):
+def test_mobius_reparam_is_the_oracle_projection(n_min, n_max, dim):
     g = _rand_loop(np.random.default_rng(12), n_min, n_max, dim)
     a, b = np.cosh(0.2), np.sinh(0.2)
     n = default_grid_size(9)
     z = mobius_apply(np.conj(a), -b, np.exp(2j * np.pi * np.arange(n) / n))
     ref = fourier_project(evaluate_at(g, z / np.abs(z)), -9, 9)
     out = mobius_reparam(g, a, b, band_out=9)
-    assert out.coeffs.tobytes() == ref.coeffs.tobytes()
+    # the power table sums in another order than Horner: a roundoff bound
+    norms = np.linalg.norm(g.coeffs, ord=2, axis=(1, 2))
+    bound = 4 * np.finfo(float).eps * norms.sum()
+    assert np.abs(out.coeffs - ref.coeffs).max() <= bound
 
 
 def test_mobius_preserves_unitarity():

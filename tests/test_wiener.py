@@ -7,8 +7,8 @@ from looplab.errors import (ConvergenceFailure, ExperimentDegenerate,
                             InvalidInput, InvalidLevel, LooplabError,
                             NotInTopStratum)
 from looplab.factorization import _solve_hardy_columns, triangular_factor
-from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict, star,
-                           unitarity_defect)
+from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict,
+                           mobius_reparam, multiply, star, unitarity_defect)
 from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import (_hardy_columns, log_product_formula, recover_coords,
                              recover_eta0, synthesize)
@@ -168,6 +168,31 @@ def test_reparam_rotation_per_sample_exact():
     rep = reparam_invariance_experiment(spec, np.exp(0.35j), 0.0, "a0", 30,
                                         seed=4)
     assert rep.max_per_sample_diff < 1e-9
+
+
+@pytest.mark.parametrize("truncation", [12, 24])
+@pytest.mark.parametrize("s", [0.2, 0.5])
+def test_hyperbolic_a0_is_the_constant_factor_of_the_composition(s, truncation):
+    # phi = sigma^-1 = (cosh s, -sinh s) maps the disc onto itself, so with
+    # g = g_- g0 g_+ the loop g o phi = (g_- o phi) g0 (g_+ o phi) has the
+    # constant factor g_-(phi(inf)) g0 g_+(phi(0)), whose a0 is |G_11|/sqrt|det G|
+    a, b = np.cosh(s), np.sinh(s)
+    p0, pinf = -b / a, -a / b              # phi(0), phi(inf)
+    for i in range(3):
+        g = synthesize(sample_coords(MeasureSpec.su2(0.0, truncation),
+                                     np.random.default_rng([41, truncation, i])))
+        M = 2 * g.band_width
+        # X holds the series h = (g0 g_+)^-1: g0 = X[0]^-1, g_+ = X[0] h^-1,
+        # so g0 g_+(p0) = h(p0)^-1, and g_- = g h, read off its modes <= 0
+        X = _solve_hardy_columns(g, M)
+        h_p0 = np.tensordot(p0 ** np.arange(M + 1), X, axes=1)
+        gm = multiply(g, LaurentLoop(2, 0, M, X))
+        gm_inf = np.tensordot(pinf ** np.arange(gm.n_min, 1),
+                              gm.coeffs[:1 - gm.n_min], axes=1)
+        G = gm_inf @ np.linalg.inv(h_p0)
+        expected = abs(G[0, 0]) / np.sqrt(abs(np.linalg.det(G)))
+        got = wiener._a0(mobius_reparam(g, a, b, band_out=2 * g.band_width))
+        assert abs(got - expected) <= 1e-10 * expected
 
 
 def test_power_control_rejects():
