@@ -8,6 +8,7 @@ All operations are pure; instances are immutable after construction.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,13 @@ class LaurentLoop:
     def __post_init__(self):
         if self.n_min > 0 or self.n_max < 0:
             raise InvalidInput("band must contain 0: n_min <= 0 <= n_max")
+        # an ndarray is kept as the same object; nested lists become one
+        try:
+            object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
+        except ValueError:              # a ragged nest of lists
+            raise InvalidInput("loop coefficients are not an array") from None
+        if self.coeffs.dtype.kind not in "biufc":
+            raise InvalidInput(f"loop coefficients of dtype {self.coeffs.dtype}")
         expected = (self.n_max - self.n_min + 1, self.dim, self.dim)
         if self.coeffs.shape != expected:
             raise InvalidInput(
@@ -98,6 +106,8 @@ def from_coeff_dict(coeffs: dict, dim: int = 2) -> LaurentLoop:
     """Build a loop from a {mode: matrix} mapping."""
     if not coeffs:
         return LaurentLoop(dim, 0, 0, np.zeros((1, dim, dim), dtype=complex))
+    if not all(isinstance(n, numbers.Integral) for n in coeffs):
+        raise InvalidInput(f"modes must be integers, got {list(coeffs)}")
     n_min = min(0, min(coeffs))
     n_max = max(0, max(coeffs))
     arr = np.zeros((n_max - n_min + 1, dim, dim), dtype=complex)
@@ -158,6 +168,8 @@ def fourier_project(samples: np.ndarray, n_min: int, n_max: int) -> LaurentLoop:
     check_count("n_max", n_max, 0)
     check_count("-n_min", -n_min, 0)
     samples = np.asarray(samples, dtype=complex)
+    if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
+        raise InvalidInput(f"samples of shape {samples.shape}, expected (n, dim, dim)")
     n_grid = samples.shape[0]
     if n_grid < n_max - n_min + 1:
         raise InvalidInput(

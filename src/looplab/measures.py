@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceFailure, InvalidInput, check_count, check_level
 from .rootsub import RootCoordsSU2
@@ -166,6 +165,7 @@ def hellinger_vs_gaussian(spec: MeasureSpec, index: int, kind: str) -> float:
         p = float(spec.zeta_exponents[index - 1])
     else:
         raise InvalidInput(f"unknown coordinate kind {kind!r}")
+    from scipy.integrate import quad     # loaded on first use, not at import
     bc, err = quad(lambda s: np.exp(-0.5 * p * np.log1p(s) - 0.5 * p * s),
                    0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
     if err > 1e-9:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_level
 from .factorization import (_adjoint_hardy_columns, _hardy_lu_solve,
@@ -126,6 +125,18 @@ def _band_bound(coords: RootCoordsSU2) -> float:
         return float(poly + np.ceil(np.min((S - np.log(_COEFF_FLOOR)) / t)))
 
 
+def _next_fast_len(n: int) -> int:
+    """The least m >= n >= 1 with no prime factor above 11, which is what
+    scipy.fft.next_fast_len(n) gives for a complex transform: the least
+    q * 2^k >= n over the odd 11-smooth q < 2n."""
+    odd, top = [1], 2 * n
+    for p in (3, 5, 7, 11):
+        for q in odd:       # the list grows as it is read: q, q p, q p^2, ...
+            if q * p < top:
+                odd.append(q * p)
+    return min(q << ((n - 1) // q).bit_length() for q in odd)
+
+
 def synthesize(coords: RootCoordsSU2) -> LaurentLoop:
     """g = star(k1) * diag(e^chi, e^-chi) * k2 from its values on a grid.
 
@@ -138,14 +149,14 @@ def synthesize(coords: RootCoordsSU2) -> LaurentLoop:
     if not bound <= _MAX_GRID:
         raise ConvergenceFailure(
             f"synthesized loop needs more than {_MAX_GRID} points (bound {bound:.3g})")
-    n_grid = next_fast_len(int(bound))
+    n_grid = _next_fast_len(int(bound))
     while n_grid <= _MAX_GRID:
         spec = np.fft.fft(_synth_values(coords, n_grid).reshape(4, n_grid)).T / n_grid
         q = n_grid // 4
         if np.abs(spec[q + 1:n_grid - q]).max(initial=0.0) <= _COEFF_FLOOR:
             coeffs = spec[np.arange(-q, q + 1) % n_grid].reshape(-1, 2, 2)
             return LaurentLoop(2, -q, q, coeffs).trimmed(_COEFF_FLOOR)
-        n_grid = next_fast_len(2 * n_grid)
+        n_grid = _next_fast_len(2 * n_grid)
     raise ConvergenceFailure(f"synthesized loop not resolved on {_MAX_GRID} points")
 
 

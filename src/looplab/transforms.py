@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DomainError, InvalidInput, check_count, check_level
 from .factorization import ldu_2x2
@@ -39,9 +38,16 @@ class TransformResult:
     method: str
 
 
-def _check_lambda(lam):
-    if not np.all(np.isfinite(lam)):
-        raise InvalidInput(f"lambda must be finite, got {lam!r}")
+def _check_lambda(lam) -> np.ndarray:
+    """lam as a float array; InvalidInput unless it holds finite real numbers."""
+    try:
+        arr = np.asarray(lam)
+        ok = arr.dtype.kind in "biuf" and np.isfinite(arr).all()
+    except ValueError:                  # a ragged nest of sequences
+        ok = False
+    if not ok:
+        raise InvalidInput(f"lambda must be finite real numbers, got {lam!r}")
+    return arr.astype(float, copy=False)
 
 
 def _mc_estimate(total, total_sq, n: int):
@@ -109,10 +115,9 @@ def mc_diagonal_transform(spec: MeasureSpec, lam, n: int, seed: int = 0):
         raise InvalidInput("diagonal transform requires an su2 measure spec")
     check_count("n", n, 1)
     check_count("seed", seed, 0)
-    lams = np.asarray(lam, dtype=float).reshape(-1)
+    lams = _check_lambda(lam).reshape(-1)
     if np.ndim(lam) > 1 or lams.size == 0:
         raise InvalidInput("lambda must be a number or a non-empty 1-D array")
-    _check_lambda(lam)
     live = np.flatnonzero(lams)         # lambda = 0 gives exactly 1, with no draws
     total = np.zeros(lams.size, dtype=complex)
     total_sq = np.zeros(lams.size)
@@ -188,11 +193,12 @@ def finite_hc_check(lam: float, n: int, seed: int = 0) -> TransformResult:
 
 def hc_gamma_transform(rs, l: float, lam) -> complex:
     """Product over positive roots of Gamma(1 + (i pi/(l+g)) <lam,a>/<a,a>)."""
+    from scipy.special import gamma     # loaded on first use, not at import
     check_level(l)
     g = float(rs.dual_coxeter)
     out = 1.0 + 0.0j
     for beta, L in zip(rs.positive_roots, _root_lambda_terms(rs, lam)):
-        val = _gamma(1.0 + 1j * np.pi * L / (l + g))
+        val = gamma(1.0 + 1j * np.pi * L / (l + g))
         if not np.isfinite(val):
             raise DomainError(f"Gamma pole at root {beta}")
         out *= val

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ExperimentDegenerate, InvalidInput, LooplabError, check_count
 from .loops import (LaurentLoop, fourier_project, mobius_check,
@@ -180,6 +179,7 @@ def _ks_uniform(u):
     of the sorted u, read as scipy's _compute_d reads it (the uniform cdf is
     the identity on [0, 1]), and its exact p-value kstwo.sf(D, n), clipped
     to [0, 1]."""
+    from scipy import stats     # about 0.4 s to import, so only when used
     u = np.sort(u)
     n = len(u)
     d_plus = np.max(np.arange(1.0, n + 1) / n - u)
@@ -253,6 +253,7 @@ def _ks_two_sample(a, b):
     default chooses.  For h <= 1 the p-value is 1 exactly (two samples with
     no common value always reach h = 1); scipy's exact routine rounds it,
     for some n above 1, where it falls back with a warning."""
+    from scipy import stats
     n = len(a)
     res = stats.ks_2samp(a, b, method="asymp")
     h = round(res.statistic * n)

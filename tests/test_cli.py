@@ -200,14 +200,29 @@ def test_reparam_rotation_abs_zeta1(capsys):
     assert json.loads(out)["max_per_sample_diff"] < 1e-9
 
 
-def _run_module(module, argv, **env_extra):
-    """The command run as ``python -m module`` in a fresh interpreter."""
+def _run_python(args, **env_extra):
+    """``python *args`` in a fresh interpreter that imports this looplab."""
     env = dict(os.environ, **env_extra)
     src = str(Path(looplab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", module, *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run_module(module, argv, **env_extra):
+    """The command run as ``python -m module`` in a fresh interpreter."""
+    return _run_python(["-m", module, *argv], **env_extra)
+
+
+def test_import_loads_no_scipy_stats_integrate_special_or_fft():
+    # they load on first use (KS tests, Hellinger quadrature, Gamma), so a
+    # command that uses none of them does not pay for them at start-up
+    lazy = ("scipy.stats", "scipy.integrate", "scipy.special", "scipy.fft")
+    code = ("import sys, looplab, looplab.cli; "
+            f"print(*[m for m in {lazy!r} if m in sys.modules])")
+    proc = _run_python(["-c", code])
+    assert (proc.returncode, proc.stdout.strip()) == (0, "")
 
 
 @pytest.mark.parametrize("module", ["looplab.cli", "looplab"])

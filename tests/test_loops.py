@@ -170,6 +170,29 @@ def test_non_finite_coefficient_rejected(bad):
         fourier_project(samples, g.n_min, g.n_max)
 
 
+def test_coefficient_lists_become_arrays():
+    c = np.array([[[1, 0], [0, 1]]], dtype=complex)
+    g = LaurentLoop(2, 0, 0, c)
+    assert g.coeffs is c
+    assert np.array_equal(LaurentLoop(2, 0, 0, [[[1, 0], [0, 1]]]).coeffs, c)
+    for bad in ([[1, 0], [0, 1]], [[[1, 0], [0]]], [[["a", "b"], ["c", "d"]]]):
+        with pytest.raises(InvalidInput):
+            LaurentLoop(2, 0, 0, bad)
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 2, 3)])
+def test_project_needs_square_matrix_samples(shape):
+    with pytest.raises(InvalidInput):
+        fourier_project(np.ones(shape), -1, 1)
+
+
+@pytest.mark.parametrize("mode", [1.5, 1.0, "1", None])
+def test_coeff_dict_modes_must_be_integers(mode):
+    with pytest.raises(InvalidInput):
+        from_coeff_dict({mode: np.eye(2)})
+    assert from_coeff_dict({np.int64(1): np.eye(2)}).n_max == 1
+
+
 def test_coeffs_write_protected():
     g = identity_loop()
     with pytest.raises(ValueError):

@@ -235,6 +235,24 @@ def test_synthesize_grid_doubling(monkeypatch):
         synthesize(_draws(12, 1)[0])
 
 
+def test_next_fast_len_matches_scipy():
+    # synthesize's grids, and so every synthesized loop, are scipy's: the
+    # 11-smooth numbers up to the largest argument, 2 * _MAX_GRID, the
+    # integer after each, and random n in that range, log-uniform so that
+    # every scale synthesize reaches is drawn alike
+    from scipy.fft import next_fast_len
+    top = 2 * rootsub._MAX_GRID
+    smooth = [1]
+    for p in (2, 3, 5, 7, 11):
+        for q in smooth:
+            if q * p <= top:
+                smooth.append(q * p)
+    rng = np.random.default_rng(1911)
+    drawn = np.exp(rng.uniform(0.0, np.log(top), 10_000)).astype(int)
+    ns = smooth + [q + 1 for q in smooth] + drawn.tolist()
+    assert [rootsub._next_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+
+
 @pytest.mark.parametrize("chi1", [1e19, 1e308])
 def test_synthesize_huge_chi_raises(chi1):
     with pytest.raises(ConvergenceFailure):

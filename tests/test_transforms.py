@@ -256,6 +256,21 @@ def test_non_finite_lambda_rejected():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", ["a", None, 1j, [1.0, [2.0]]])
+@pytest.mark.parametrize("call", [
+    lambda lam: sine_formula_su2(0.0, lam),
+    lambda lam: marginal_factor("eta", 1, 0.0, lam),
+    lambda lam: partial_product(0.0, lam, 5),
+    lambda lam: finite_hc_check(lam, 10),
+    lambda lam: mc_diagonal_transform(MeasureSpec.su2(0.0, 8), lam, 10),
+], ids=["sine_formula_su2", "marginal_factor", "partial_product",
+        "finite_hc_check", "mc_diagonal_transform"])
+def test_non_numeric_lambda_rejected(call, lam):
+    with pytest.raises(InvalidInput):
+        call(lam)
+
+
+@pytest.mark.filterwarnings("error")
 def test_non_integer_or_negative_counts_and_seeds_rejected():
     spec = MeasureSpec.su2(0.0, 8)
     calls = (lambda: partial_product(0.0, 1.0, 2.5),
