@@ -14,7 +14,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zgesv, zgetrs
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_count
-from .loops import LaurentLoop, default_grid_size, evaluate, multiply
+from .loops import LaurentLoop, default_grid_size
 
 __all__ = [
     "ToeplitzBlock",
@@ -151,8 +151,13 @@ def birkhoff_factor(g: LaurentLoop, M: int):
     gp = solve_triangular(S, np.eye(S.shape[0], d), lower=True,
                           unit_diagonal=True)
     g_plus = LaurentLoop(d, 0, M, gp.reshape(M + 1, d, d))
-    gm_full = multiply(g, LaurentLoop(d, 0, M, X.copy()))
-    g_minus = gm_full.with_band(max(gm_full.n_min, -M), 0)
+    # g_minus = g h mod z: mode lo+i is sum_j c_{lo+i-j} X_j, one GEMM of the
+    # block Hankel section H[i] = (c_{lo-M+i} .. c_{lo+i}) with X_M .. X_0 stacked
+    lo = max(g.n_min, -M)
+    R = np.ascontiguousarray(g.with_band(lo - M, 0).coeffs.transpose(1, 0, 2))
+    H = np.lib.stride_tricks.sliding_window_view(R, M + 1, axis=1)
+    gm = H.transpose(1, 0, 3, 2).reshape(-1, (M + 1) * d) @ X[::-1].reshape(-1, d)
+    g_minus = LaurentLoop(d, lo, 0, gm.reshape(-1, d, d))
     res = _product_residual(g, g_minus, g0, g_plus)
     if not np.isfinite(res) or res > _RESIDUAL_TOL:
         raise ConvergenceFailure(
@@ -164,8 +169,16 @@ def birkhoff_factor(g: LaurentLoop, M: int):
 def _product_residual(g, g_minus, g0, g_plus) -> float:
     n_grid = default_grid_size(max(g.band_width, g_minus.band_width,
                                    g_plus.band_width))
-    vals = evaluate(g_minus, n_grid) @ g0 @ evaluate(g_plus, n_grid)
-    return float(np.abs(vals - evaluate(g, n_grid)).max())
+    # the three loops on the grid by one inverse FFT; no slot repeats, as the
+    # grid outnumbers each loop's modes
+    spec = np.zeros((n_grid, 3) + g0.shape, dtype=complex)
+    for i, f in enumerate((g_minus, g_plus, g)):
+        spec[:f.n_max + 1, i] = f.coeffs[-f.n_min:]
+        spec[n_grid + f.n_min:, i] = f.coeffs[:-f.n_min]
+    vals = n_grid * np.fft.ifft(spec, axis=0)
+    vm = (vals[:, 0].reshape(-1, g.dim) @ g0).reshape(vals[:, 0].shape)
+    prod = np.einsum("nab,nbc->nac", vm, vals[:, 1])
+    return float(np.abs(prod - vals[:, 2]).max())
 
 
 _J = np.complex128(1j)

@@ -111,8 +111,9 @@ def from_coeff_dict(coeffs: dict, dim: int = 2) -> LaurentLoop:
     n_min = min(0, min(coeffs))
     n_max = max(0, max(coeffs))
     arr = np.zeros((n_max - n_min + 1, dim, dim), dtype=complex)
-    for n, mat in coeffs.items():
-        arr[n - n_min] = np.asarray(mat, dtype=complex)
+    # the matrices, stacked as the modes 0.. of a loop, pass its input checks
+    arr[np.array(list(coeffs)) - n_min] = LaurentLoop(
+        dim, 0, len(coeffs) - 1, list(coeffs.values())).coeffs
     return LaurentLoop(dim, n_min, n_max, arr)
 
 

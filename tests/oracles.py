@@ -3,7 +3,7 @@
 import numpy as np
 
 from looplab import wiener
-from looplab.loops import LaurentLoop
+from looplab.loops import LaurentLoop, default_grid_size, evaluate
 
 
 def evaluate_at(g: LaurentLoop, z: np.ndarray) -> np.ndarray:
@@ -25,6 +25,15 @@ def evaluate_at(g: LaurentLoop, z: np.ndarray) -> np.ndarray:
         neg *= zi[..., None, None]
         vals += neg
     return vals
+
+
+def product_residual(g, g_minus, g0, g_plus) -> float:
+    """max over the grid of |g_minus g0 g_plus - g|, each loop evaluated on
+    its own."""
+    n_grid = default_grid_size(max(g.band_width, g_minus.band_width,
+                                   g_plus.band_width))
+    vals = evaluate(g_minus, n_grid) @ g0 @ evaluate(g_plus, n_grid)
+    return float(np.abs(vals - evaluate(g, n_grid)).max())
 
 
 def raw_walk(cfg: wiener.WienerConfig, idx: int) -> np.ndarray:

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import zgesv
 
+from looplab import factorization
 from looplab.errors import ConvergenceFailure, InvalidInput, NotInTopStratum
-from looplab.factorization import (_solve_hardy_columns, a0_from_dets,
-                                   birkhoff_factor, ldu_2x2, log_det_AstarA,
-                                   toeplitz, triangular_factor)
+from looplab.factorization import (_product_residual, _solve_hardy_columns,
+                                   a0_from_dets, birkhoff_factor, ldu_2x2,
+                                   log_det_AstarA, toeplitz, triangular_factor)
 from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict,
                            identity_loop, multiply, star)
 from looplab.measures import MeasureSpec, sample_coords
-from looplab.rootsub import (RootCoordsSU2, random_coords, recover_coords,
-                             recover_eta0, synthesize)
+from looplab.rootsub import (RootCoordsSU2, log_product_formula, random_coords,
+                             recover_coords, recover_eta0, synthesize)
+from oracles import product_residual
 
 E = np.array([], dtype=complex)
 
@@ -208,6 +210,47 @@ def test_birkhoff_g_plus_inverts_the_hardy_series():
     expected = np.zeros_like(prod)
     expected[0] = np.eye(2)
     assert np.abs(prod - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape, M", [
+    pytest.param(shape, M, id=f"{name}{M}")
+    for name, shape in _TOEPLITZ_LOOPS.items() for M in (0, 2, 4, 5, 8)])
+def test_g_minus_is_the_product_with_the_hardy_series(shape, M, monkeypatch):
+    # g_minus is g h mod z, h the Hardy series X, whatever the residual
+    monkeypatch.setattr(factorization, "_RESIDUAL_TOL", np.inf)
+    d, n_min, n_max = shape
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal((n_max - n_min + 1, d, d))
+    g = LaurentLoop(d, n_min, n_max, c + 1j * rng.standard_normal(c.shape))
+    X = _solve_hardy_columns(g, M)
+    gm, g0, _, _ = birkhoff_factor(g, M)
+    ref = multiply(g, LaurentLoop(d, 0, M, X)).with_band(max(n_min, -M), 0)
+    assert (gm.n_min, gm.n_max) == (ref.n_min, ref.n_max)
+    assert np.abs(gm.coeffs - ref.coeffs).max() <= 1e-13 * np.abs(c).max()
+    np.testing.assert_array_equal(g0, np.linalg.inv(X[0]))
+
+
+def _synthesized_draws(n):
+    for i in range(n):
+        c = random_coords(np.random.default_rng([31, i]), (0.0, 1.0, 3.5)[i % 3])
+        g = synthesize(c)
+        yield c, g, max(64, g.band_width)
+
+
+def test_product_residual_matches_the_evaluate_oracle():
+    for _, g, M in _synthesized_draws(12):
+        gm, g0, gp, _ = birkhoff_factor(g, M)
+        assert abs(_product_residual(g, gm, g0, gp)
+                   - product_residual(g, gm, g0, gp)) <= 1e-14
+
+
+def test_triangular_a0_is_the_closed_form():
+    # a0^2 is the ratio of the truncated-determinant limits, in closed form
+    for c, g, M in _synthesized_draws(60):
+        tf = triangular_factor(g, M)
+        a0 = np.exp(0.5 * log_product_formula(c, "a0sq"))
+        assert abs(tf.a0 - a0) <= 1e-12 * a0
+        assert tf.residual <= 1e-12
 
 
 def test_birkhoff_singular_raises():

@@ -193,6 +193,13 @@ def test_coeff_dict_modes_must_be_integers(mode):
     assert from_coeff_dict({np.int64(1): np.eye(2)}).n_max == 1
 
 
+@pytest.mark.parametrize("mat", [np.eye(3), np.ones((2, 2, 2)), [[1, "a"], [0, 1]]],
+                         ids=["3x3", "stack", "string"])
+def test_coeff_dict_matrices_must_be_numeric_dim_by_dim(mat):
+    with pytest.raises(InvalidInput):
+        from_coeff_dict({0: mat})
+
+
 def test_coeffs_write_protected():
     g = identity_loop()
     with pytest.raises(ValueError):
