@@ -2,11 +2,13 @@
 
 Implements the Riemann-Hilbert splitting g = g_minus * g0 * g_plus for
 banded loops with zero winding, the 2x2 LDU refinement, and the determinant
-route to the positive diagonal a0.
+route to the positive diagonal a0.  hardy_columns is the one place a finite
+section is factored for Hardy columns (of g, and of star(g) on the same LU).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,11 @@ __all__ = [
 _RESIDUAL_TOL = 1e-8
 # ldu_2x2 rejects a (1,1) entry at or below this times the largest entry
 _LDU_TOL = 1e-13
+# hardy_columns' converged solve: tail floor, indicator, least start, cap factor
+_TAIL_FLOOR = 1e-8
+_INDICATOR_TOL = 1e-12
+_MIN_CUTOFF = 8
+_CAP_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class ToeplitzBlock:
     """Compression of multiplication-by-g to the truncated Hardy space.
 
     Unshifted: basis {z^n e_i : 0 <= n <= M, i = 1..dim}, block (j, k) = c_{j-k}.
-    Shifted: the constant e_2 mode is dropped from rows and columns.
+    Shifted (dim >= 2): the constant e_2 mode is dropped from rows and columns.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -49,6 +56,8 @@ def toeplitz(g: LaurentLoop, M: int, shifted: bool = False) -> ToeplitzBlock:
     given: only the c_n with |n| <= M enter, whatever the band of g."""
     check_count("M", M, 0)
     d = g.dim
+    if shifted and d < 2:
+        raise InvalidInput("the shifted section needs an e_2 mode: dim >= 2")
     n = d * (M + 1)
     # A is written in Fortran order, which LAPACK solves in place.  Its
     # column (k, b) is the run c_{j-k}[:, b], j = 0..M: lay the c_n with
@@ -92,40 +101,43 @@ def log_det_AstarA(T: ToeplitzBlock) -> float:
     return float(2.0 * np.log(np.abs(np.diagonal(lu))).sum())
 
 
-def _hardy_lu_solve(g: LaurentLoop, M: int):
-    """Solve A X = E0, A = T_M(g), for the (M+1) stacked 2x2 blocks of
-    (g0 g_plus)^-1, by one LU of A.
+def hardy_columns(g: LaurentLoop, M: int | None = None):
+    """Hardy columns X of g, of shape (M+1, dim, dim), from one LU of the
+    finite section: T_M(g) X = E0 stacks the blocks of (g0 g_plus)^-1.
 
-    Returns X of shape (M+1, dim, dim) and the LU factors (lu, piv) of A, on
-    which _adjoint_hardy_columns solves for star(g).  Raises
-    ConvergenceFailure when A is singular.
+    An integer M is the literal section.  M=None is the converged solve: M
+    starts at the largest |n| with max|c_n| > _TAIL_FLOOR, at least
+    _MIN_CUTOFF, and grows to max(M + 1, ceil(1.25 M)), at most to the cap
+    _CAP_FACTOR * max(band width, 16), until max|X_M(M)|^2 <= _INDICATOR_TOL
+    (Gohberg-Feldman; Boettcher-Silbermann).  X comes with a function of no
+    argument that solves for star(g)'s columns on the same LU, as
+    T_M(star g) = T_M(g)^H; the LU lives as long as that function.  Raises
+    ConvergenceFailure for a singular section or a miss at the cap.
     """
     d = g.dim
-    A = toeplitz(g, M).matrix
-    E = np.eye(A.shape[0], d, dtype=complex, order="F")
-    # LU in place: no copy of the matrix beside the one toeplitz built
-    lu, piv, X, info = zgesv(A, E, overwrite_a=True, overwrite_b=True)
-    if info != 0:
-        raise ConvergenceFailure(
-            "block Toeplitz truncation is singular (loop outside the top "
-            "stratum or nonzero winding)")
-    return X.reshape(M + 1, d, d), lu, piv
-
-
-def _adjoint_hardy_columns(lu: np.ndarray, piv: np.ndarray, d: int) -> np.ndarray:
-    """The Hardy columns of star(g), of shape (M+1, d, d), from the LU factors
-    (lu, piv) of A = T_M(g): block (j, k) of both T_M(star g) and A^H is
-    c_{k-j}^dagger, so they solve A^H X = E0 on the same LU.
-    """
-    E = np.eye(lu.shape[0], d, dtype=complex, order="F")
-    X, _ = zgetrs(lu, piv, E, trans=2, overwrite_b=True)
-    return X.reshape(-1, d, d)
-
-
-def _solve_hardy_columns(g: LaurentLoop, M: int) -> np.ndarray:
-    """The Hardy columns X of g alone, of shape (M+1, dim, dim)
-    (_hardy_lu_solve)."""
-    return _hardy_lu_solve(g, M)[0]
+    converge = M is None
+    if converge:
+        cap = _CAP_FACTOR * max(g.band_width, 16)
+        M = max(g.trimmed(_TAIL_FLOOR).band_width, _MIN_CUTOFF)
+    while True:
+        # LU in place: no copy of the matrix beside the one toeplitz built
+        A = toeplitz(g, M).matrix
+        lu, piv, X, info = zgesv(A, np.eye(A.shape[0], d, dtype=complex, order="F"),
+                                 overwrite_a=True, overwrite_b=True)
+        if info != 0:
+            raise ConvergenceFailure(
+                "block Toeplitz truncation is singular (loop outside the top "
+                "stratum or nonzero winding)")
+        X = X.reshape(M + 1, d, d)
+        if not converge or np.abs(X[M]).max() ** 2 <= _INDICATOR_TOL:
+            return X, lambda: zgetrs(
+                lu, piv, np.eye(lu.shape[0], d, dtype=complex, order="F"),
+                trans=2, overwrite_b=True)[0].reshape(-1, d, d)
+        if M >= cap:
+            raise ConvergenceFailure(
+                f"Hardy solve misses the indicator at the cap M = {cap}")
+        del A, lu, X    # frees this LU before the next section is built
+        M = min(max(M + 1, math.ceil(1.25 * M)), cap)
 
 
 def birkhoff_factor(g: LaurentLoop, M: int):
@@ -138,8 +150,9 @@ def birkhoff_factor(g: LaurentLoop, M: int):
     Raises ConvergenceFailure if the truncated system is singular or the
     residual exceeds _RESIDUAL_TOL.
     """
+    check_count("M", M, 0)    # M=None would be hardy_columns' converged cutoff
     d = g.dim
-    X = _solve_hardy_columns(g, M)
+    X = hardy_columns(g, M)[0]
     # X holds the power-series coefficients of h = (g0 g_plus)^{-1}; g h = g_minus
     h0 = X[0]
     if abs(np.linalg.det(h0)) < 1e-300:

@@ -44,8 +44,10 @@ class LaurentLoop:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_min > 0 or self.n_max < 0:
-            raise InvalidInput("band must contain 0: n_min <= 0 <= n_max")
+        # the band n_min <= 0 <= n_max, of integers, and a positive dim
+        check_count("dim", self.dim, 1)
+        check_count("n_max", self.n_max, 0)
+        check_count("-n_min", -self.n_min, 0)
         # an ndarray is kept as the same object; nested lists become one
         try:
             object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
@@ -98,12 +100,14 @@ class LaurentLoop:
 
 
 def identity_loop(dim: int = 2) -> LaurentLoop:
+    check_count("dim", dim, 1)
     c = np.eye(dim, dtype=complex)[None, :, :].copy()
     return LaurentLoop(dim, 0, 0, c)
 
 
 def from_coeff_dict(coeffs: dict, dim: int = 2) -> LaurentLoop:
     """Build a loop from a {mode: matrix} mapping."""
+    check_count("dim", dim, 1)
     if not coeffs:
         return LaurentLoop(dim, 0, 0, np.zeros((1, dim, dim), dtype=complex))
     if not all(isinstance(n, numbers.Integral) for n in coeffs):

@@ -2,21 +2,20 @@
 
 Synthesis builds the unitary loop g = k1^* . exp(chi) . k2 from finitely
 supported coordinate sequences; recovery peels the coordinates back off a
-loop through the Hardy-space solves of g and star(g), which share one LU,
-and sparse factor stripping; the product formulas give the closed-form
-truncated Toeplitz determinants.
+loop from the Hardy columns of g and star(g), which
+factorization.hardy_columns solves on one LU, by sparse factor stripping;
+the product formulas give the closed-form truncated Toeplitz determinants.
+OBSERVABLES are the Hardy read-outs of the invariance experiments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_level
-from .factorization import (_adjoint_hardy_columns, _hardy_lu_solve,
-                            _solve_hardy_columns)
+from .factorization import hardy_columns
 from .loops import LaurentLoop, default_grid_size, evaluate, star
 
 __all__ = [
@@ -35,12 +34,6 @@ _NOISE_FLOOR = 1e-9
 _COEFF_FLOOR = 1e-14
 # largest grid synthesize evaluates a loop on
 _MAX_GRID = 1 << 20
-# the converged Hardy solve's start, indicator, floor and cap (see
-# _converged_hardy_columns)
-_TAIL_FLOOR = 1e-8
-_INDICATOR_TOL = 1e-12
-_MIN_CUTOFF = 8
-_CAP_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -207,26 +200,6 @@ def random_coords(rng: np.random.Generator, level: float = 0.0) -> RootCoordsSU2
 
 # -- coordinate recovery -----------------------------------------------------
 
-def _converged_hardy_columns(g: LaurentLoop) -> np.ndarray:
-    """Hardy columns X_M of g at the smallest cutoff M of the growth sequence
-    whose last block passes the finite-section indicator max|X_M(M)|^2 <=
-    _INDICATOR_TOL (Gohberg-Feldman; Boettcher-Silbermann).  M starts at the
-    largest |n| with max|c_n| > _TAIL_FLOOR, at least _MIN_CUTOFF, and grows
-    to max(M + 1, ceil(1.25 M)), at most to the cap _CAP_FACTOR * max(band
-    width, 16).  Raises ConvergenceFailure when the solve at the cap misses
-    the indicator."""
-    cap = _CAP_FACTOR * max(g.band_width, 16)
-    M = max(g.trimmed(_TAIL_FLOOR).band_width, _MIN_CUTOFF)
-    while True:
-        X = _solve_hardy_columns(g, M)
-        if np.abs(X[M]).max() ** 2 <= _INDICATOR_TOL:
-            return X
-        if M >= cap:
-            raise ConvergenceFailure(
-                f"Hardy solve misses the indicator at the cap M = {cap}")
-        M = min(max(M + 1, math.ceil(1.25 * M)), cap)
-
-
 def _top_stratum(X: np.ndarray) -> np.ndarray:
     """Hardy columns X in the top stratum: H = X[0] = g0^-1 must have
     |H_22| >= 1e-12 max|H|, as an LDU of g0 divides by (g0)_11 = H_22 / det H.
@@ -238,20 +211,8 @@ def _top_stratum(X: np.ndarray) -> np.ndarray:
 
 
 def _hardy_columns(g: LaurentLoop, M: int | None = None) -> np.ndarray:
-    """Hardy columns X of g, checked by _top_stratum.  M=None is the converged
-    solve (_converged_hardy_columns); an integer M is the literal finite
-    section."""
-    return _top_stratum(_converged_hardy_columns(g) if M is None
-                        else _solve_hardy_columns(g, M))
-
-
-def _hardy_columns_and_star(g: LaurentLoop, M: int):
-    """Hardy columns of g and of star(g) at the cutoff M, each checked by
-    _top_stratum, from one LU of T_M(g): the star(g) side is the
-    conjugate-transpose solve, as T_M(star g) = T_M(g)^H.  The LU is freed
-    on return."""
-    X, lu, piv = _hardy_lu_solve(g, M)
-    return _top_stratum(X), _top_stratum(_adjoint_hardy_columns(lu, piv, g.dim))
+    """hardy_columns' X, checked by _top_stratum; the LU is freed on return."""
+    return _top_stratum(hardy_columns(g, M)[0])
 
 
 def _zeta_columns(X: np.ndarray):
@@ -307,16 +268,18 @@ def recover_coords(g: LaurentLoop, l_hint: float = 0.0) -> RootCoordsSU2:
     dropped: the arrays have the support length of c.  One LU of T_M(g), at
     the cutoff M = max(2 * band width, 32), serves both sides: the zeta side
     solves T_M(g) X = E0 and the eta side T_M(g)^H X = E0, as
-    T_M(star g) = T_M(g)^H.  Raises InvalidInput for a loop that is not 2x2,
-    InvalidLevel for a bad l_hint, NotInTopStratum outside the top stratum
-    (_hardy_columns_and_star) and ConvergenceFailure when the resynthesized loop misses
-    g by more than 1e-8 on the grid.
+    T_M(star g) = T_M(g)^H (factorization.hardy_columns).  Raises
+    InvalidInput for a loop that is not 2x2, InvalidLevel for a bad l_hint,
+    NotInTopStratum outside the top stratum (_top_stratum) and
+    ConvergenceFailure when the resynthesized loop misses g by more than 1e-8
+    on the grid.
     """
     _check_su2(g)
     check_level(l_hint)
     n_max = g.band_width
-    M = max(2 * n_max, 32)
-    X, X_star = _hardy_columns_and_star(g, M)
+    X, star_columns = hardy_columns(g, max(2 * n_max, 32))
+    X, X_star = _top_stratum(X), _top_stratum(star_columns())
+    del star_columns    # frees the LU before the chi step
     zeta = _above_floor(_peel(*_zeta_columns(X), range(1, n_max + 1)))
     eta = _above_floor(_peel(*_eta_columns(X_star), range(n_max + 1)))
     # chi: (k1 g star(k2))_00 = e^chi on the circle.  With A = star(k1) and
@@ -348,6 +311,23 @@ def recover_eta0(g: LaurentLoop, M: int | None = None) -> complex:
     2x2."""
     _check_su2(g)
     return complex(_peel(*_eta_columns(_hardy_columns(star(g), M)), [0])[0])
+
+
+def _a0(g: LaurentLoop, M: int | None = None) -> float:
+    """The LDU's a0 of g0 / sqrt(det g0), g0 = H^-1 for the constant Hardy
+    block H: as (g0)_11 = H_22 / det H, a0 = |H_22| / sqrt|det H|."""
+    H = _hardy_columns(g, M)[0]
+    return float(abs(H[1, 1]) / np.sqrt(abs(np.linalg.det(H))))
+
+
+# observables of the invariance experiments: name -> value on a loop, from
+# the converged Hardy solve, or the finite section at cutoff M when M is given
+OBSERVABLES = {
+    "a0": _a0,
+    "abs_eta0": lambda g, M=None: abs(recover_eta0(g, M=M)),
+    "abs_zeta1": lambda g, M=None: float(
+        abs(_peel(*_zeta_columns(_hardy_columns(g, M)), [1])[0])),
+}
 
 
 def coords_max_error(c1: RootCoordsSU2, c2: RootCoordsSU2) -> float:

@@ -3,7 +3,8 @@
 The sampler runs a multiplicative Gaussian walk on the group, pins it into
 a closed loop by a geodesic correction, and projects the grid samples onto
 a band-limited Laurent loop.  The experiments push loops (or exact
-coordinate samples) through factorization observables and report
+coordinate samples) through the Hardy read-outs of rootsub (recover_eta0
+and OBSERVABLES, on factorization.hardy_columns) and report
 Kolmogorov-Smirnov statistics.
 """
 
@@ -17,7 +18,7 @@ from .errors import ExperimentDegenerate, InvalidInput, LooplabError, check_coun
 from .loops import (LaurentLoop, fourier_project, mobius_check,
                     mobius_reparam, multiply)
 from .measures import MeasureSpec, sample_coords
-from .rootsub import _hardy_columns, _peel, _zeta_columns, recover_eta0, synthesize
+from .rootsub import OBSERVABLES, recover_eta0, synthesize
 
 __all__ = [
     "WienerConfig",
@@ -221,23 +222,6 @@ def eta0_pushforward_experiment(cfg: WienerConfig,
                       eta0=vals)
 
 
-def _a0(g: LaurentLoop, M: int | None = None) -> float:
-    """The LDU's a0 of g0 / sqrt(det g0), g0 = H^-1 for the constant Hardy
-    block H: as (g0)_11 = H_22 / det H, a0 = |H_22| / sqrt|det H|."""
-    H = _hardy_columns(g, M)[0]
-    return float(abs(H[1, 1]) / np.sqrt(abs(np.linalg.det(H))))
-
-
-# observable name -> value on a loop, from the converged Hardy solve, or the
-# finite section at cutoff M when M is given
-_OBSERVABLES = {
-    "a0": _a0,
-    "abs_eta0": lambda g, M=None: abs(recover_eta0(g, M=M)),
-    "abs_zeta1": lambda g, M=None: float(
-        abs(_peel(*_zeta_columns(_hardy_columns(g, M)), [1])[0])),
-}
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     ks: float
@@ -268,11 +252,11 @@ def _paired_experiment(spec: MeasureSpec, second, observable: str, n: int,
                        seed: int) -> InvarianceReport:
     """Common harness: observable law of g, drawn from spec, against that of
     second(g, i), i the index of the draw."""
-    if observable not in _OBSERVABLES:
+    if observable not in OBSERVABLES:
         raise InvalidInput(f"unknown observable {observable!r}")
     check_count("n", n, 1)
     check_count("seed", seed, 0)
-    obs = _OBSERVABLES[observable]
+    obs = OBSERVABLES[observable]
 
     def draw(i):
         g = synthesize(sample_coords(spec, np.random.default_rng([int(seed), i])))

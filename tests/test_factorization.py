@@ -4,8 +4,8 @@ from scipy.linalg.lapack import zgesv
 
 from looplab import factorization
 from looplab.errors import ConvergenceFailure, InvalidInput, NotInTopStratum
-from looplab.factorization import (_product_residual, _solve_hardy_columns,
-                                   a0_from_dets, birkhoff_factor, ldu_2x2,
+from looplab.factorization import (_product_residual, a0_from_dets,
+                                   birkhoff_factor, hardy_columns, ldu_2x2,
                                    log_det_AstarA, toeplitz, triangular_factor)
 from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict,
                            identity_loop, multiply, star)
@@ -64,7 +64,8 @@ def _block_reference(g, M, shifted):
 # (dim, n_min, n_max) by id prefix: band [-3, 5] in dims 2, 1 and 3, and a
 # loop with n_min = 0 (as birkhoff_factor's series s) or n_max = 0.  On band
 # [-3, 5], M = 0, 2 cut both sides, M = 4 only the top, M = 5 is the band
-# width and M = 8 lies past it.  Dim 1 has no e_2 mode to drop at M = 0.
+# width and M = 8 lies past it.  Dim 1 has no e_2 mode to drop, so it has
+# no shifted section.
 _TOEPLITZ_LOOPS = {"": (2, -3, 5), "dim1-": (1, -3, 5), "dim3-": (3, -3, 5),
                    "n_min0-": (2, 0, 5), "n_max0-": (2, -3, 0)}
 
@@ -73,7 +74,7 @@ _TOEPLITZ_LOOPS = {"": (2, -3, 5), "dim1-": (1, -3, 5), "dim3-": (3, -3, 5),
     pytest.param(shape, shifted, M, id=f"{name}{shifted}-{M}")
     for name, shape in _TOEPLITZ_LOOPS.items()
     for shifted in (False, True) for M in (0, 2, 4, 5, 8)
-    if not (shape[0] == 1 and shifted and M == 0)])
+    if not (shape[0] == 1 and shifted)])
 def test_toeplitz_matches_block_reference(shape, shifted, M):
     d, n_min, n_max = shape
     rng = np.random.default_rng(4)
@@ -83,6 +84,17 @@ def test_toeplitz_matches_block_reference(shape, shifted, M):
     # LAPACK solves the section in place in Fortran order
     assert A.flags.f_contiguous
     np.testing.assert_array_equal(A, _block_reference(g, M, shifted))
+
+
+@pytest.mark.parametrize("M", [0, 2, 4, 5, 8])
+def test_shifted_section_of_a_1x1_loop_is_rejected(M):
+    # a 1x1 loop has no e_2 mode to drop, at any cutoff
+    rng = np.random.default_rng(4)
+    g = LaurentLoop(1, -3, 5, rng.standard_normal((9, 1, 1)) + 0j)
+    with pytest.raises(InvalidInput, match="e_2"):
+        toeplitz(g, M, shifted=True)
+    with pytest.raises(InvalidInput, match="e_2"):
+        a0_from_dets(identity_loop(1), M)
 
 
 @pytest.mark.parametrize("M", [0, 2, 5, 8])
@@ -103,22 +115,40 @@ def test_hardy_solve_is_bitwise_gesv():
             A = toeplitz(g, M).matrix
             X = zgesv(A, np.eye(A.shape[0], 2, dtype=complex))[2]
             np.testing.assert_array_equal(
-                _solve_hardy_columns(g, M).reshape(-1, 2), X)
+                hardy_columns(g, M)[0].reshape(-1, 2), X)
 
 
 def test_zero_loop_factorization_raises():
     g = from_coeff_dict({0: np.zeros((2, 2))})
     with pytest.raises(ConvergenceFailure, match="singular"):
-        _solve_hardy_columns(g, 4)
+        hardy_columns(g, 4)
     with pytest.raises(ConvergenceFailure, match="singular"):
         recover_coords(g)
+
+
+def test_converged_cutoff_grows_by_the_quarter_rule_up_to_the_cap(monkeypatch):
+    # X = (I - 0.999 z)^-1 = sum 0.999^n z^n misses the indicator at every
+    # cutoff: M runs from the floor 8 by max(M + 1, ceil(1.25 M)) to the cap
+    # 4 max(band, 16) = 64, each section built once
+    cutoffs = []
+    build = factorization.toeplitz
+
+    def recorded(g, M, shifted=False):
+        cutoffs.append(M)
+        return build(g, M, shifted)
+
+    monkeypatch.setattr(factorization, "toeplitz", recorded)
+    g = from_coeff_dict({0: np.eye(2), 1: -0.999 * np.eye(2)})
+    with pytest.raises(ConvergenceFailure, match="cap M = 64"):
+        hardy_columns(g)
+    assert cutoffs == [8, 10, 13, 17, 22, 28, 35, 44, 55, 64]
 
 
 def test_hardy_solve_below_band_is_the_finite_section_solve():
     g = synthesize(RootCoordsSU2(0.0, np.array([0.3, 0.2j]), 0j,
                                  np.array([0.1]), np.array([0.2 - 0.1j])))
     M = g.band_width // 2
-    X = _solve_hardy_columns(g, M)
+    X = hardy_columns(g, M)[0]
     ref = np.linalg.solve(_block_reference(g, M, False), np.eye(2 * M + 2, 2))
     assert X.shape == (M + 1, 2, 2)
     assert np.abs(X.reshape(-1, 2) - ref).max() < 1e-12
@@ -140,6 +170,13 @@ def _const_loop():
 def test_cutoff_must_be_a_count(call, M):
     with pytest.raises(InvalidInput, match="M must be an integer >= 0"):
         call(_const_loop(), M)
+
+
+@pytest.mark.parametrize("call", [birkhoff_factor, triangular_factor])
+def test_splitting_takes_no_converged_cutoff(call):
+    # M=None is the converged cutoff of the Hardy solve, not of the splitting
+    with pytest.raises(InvalidInput, match="M must be an integer >= 0"):
+        call(_const_loop(), None)
 
 
 def test_winding_loop_determinant_decays():
@@ -222,7 +259,7 @@ def test_g_minus_is_the_product_with_the_hardy_series(shape, M, monkeypatch):
     rng = np.random.default_rng(4)
     c = rng.standard_normal((n_max - n_min + 1, d, d))
     g = LaurentLoop(d, n_min, n_max, c + 1j * rng.standard_normal(c.shape))
-    X = _solve_hardy_columns(g, M)
+    X = hardy_columns(g, M)[0]
     gm, g0, _, _ = birkhoff_factor(g, M)
     ref = multiply(g, LaurentLoop(d, 0, M, X)).with_band(max(n_min, -M), 0)
     assert (gm.n_min, gm.n_max) == (ref.n_min, ref.n_max)

@@ -200,6 +200,21 @@ def test_coeff_dict_matrices_must_be_numeric_dim_by_dim(mat):
         from_coeff_dict({0: mat})
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: from_coeff_dict({}, dim=-1), "dim"),
+    (lambda: from_coeff_dict({0: np.eye(2)}, dim=2.0), "dim"),
+    (lambda: identity_loop(2.5), "dim"),
+    (lambda: identity_loop(0), "dim"),
+    (lambda: LaurentLoop(0, 0, 0, np.zeros((1, 0, 0))), "dim"),
+    (lambda: LaurentLoop(2, -0.5, 0.5, np.zeros((2, 2, 2))), "n_max"),
+    (lambda: LaurentLoop(2, -0.5, 0, np.zeros((1, 2, 2))), "-n_min"),
+], ids=["dict-negative-dim", "dict-float-dim", "float-dim", "zero-dim",
+        "0x0-loop", "half-integer-band", "half-integer-n_min"])
+def test_loop_dim_and_band_must_be_counts(build, name):
+    with pytest.raises(InvalidInput, match=f"^{name} must be an integer"):
+        build()
+
+
 def test_coeffs_write_protected():
     g = identity_loop()
     with pytest.raises(ValueError):

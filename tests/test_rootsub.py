@@ -3,8 +3,7 @@ import pytest
 
 from looplab import factorization, rootsub
 from looplab.errors import ConvergenceFailure, InvalidInput, InvalidLevel
-from looplab.factorization import (_adjoint_hardy_columns, _hardy_lu_solve,
-                                   _solve_hardy_columns, a0_from_dets,
+from looplab.factorization import (a0_from_dets, hardy_columns,
                                    log_det_AstarA, toeplitz)
 from looplab.loops import (LaurentLoop, default_grid_size, evaluate,
                            fourier_project, from_coeff_dict,
@@ -415,17 +414,16 @@ def test_recover_at_the_contract_edge():
 
 
 def _count_factorizations(monkeypatch):
-    """Record the cutoff of every LU of a finite section, made in rootsub or
-    through the factorization module's own solve."""
+    """Record the cutoff of every LU of a 2x2 loop's finite section: each is
+    made by the one zgesv call of factorization.hardy_columns."""
     cutoffs = []
-    solve = factorization._hardy_lu_solve
+    gesv = factorization.zgesv
 
-    def counted(loop, M):
-        cutoffs.append(M)
-        return solve(loop, M)
+    def counted(A, *args, **kwargs):
+        cutoffs.append(A.shape[0] // 2 - 1)
+        return gesv(A, *args, **kwargs)
 
-    monkeypatch.setattr(factorization, "_hardy_lu_solve", counted)
-    monkeypatch.setattr(rootsub, "_hardy_lu_solve", counted)
+    monkeypatch.setattr(factorization, "zgesv", counted)
     return cutoffs
 
 
@@ -446,9 +444,12 @@ def test_adjoint_solve_gives_the_star_columns(level):
     for seed in range(3):
         g = synthesize(random_coords(np.random.default_rng([23, seed]), level))
         M = max(2 * g.band_width, 32)
-        _, lu, piv = _hardy_lu_solve(g, M)
-        X_star = _adjoint_hardy_columns(lu, piv, 2)
-        assert np.abs(X_star - _solve_hardy_columns(star(g), M)).max() <= 1e-13
+        X_star = hardy_columns(g, M)[1]()
+        assert np.abs(X_star - hardy_columns(star(g), M)[0]).max() <= 1e-13
+        # the converged solve's star(g) columns are at the cutoff it chose
+        X, star_columns = hardy_columns(g)
+        X_star = hardy_columns(star(g), len(X) - 1)[0]
+        assert np.abs(star_columns() - X_star).max() <= 1e-13
 
 
 @pytest.mark.parametrize("dim", [1, 3])

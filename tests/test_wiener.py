@@ -6,13 +6,14 @@ from looplab import wiener
 from looplab.errors import (ConvergenceFailure, ExperimentDegenerate,
                             InvalidInput, InvalidLevel, LooplabError,
                             NotInTopStratum)
-from looplab.factorization import _solve_hardy_columns, triangular_factor
+from looplab.factorization import hardy_columns, triangular_factor
 from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict,
                            mobius_reparam, multiply, star, unitarity_defect)
 from looplab.measures import MeasureSpec, sample_coords
-from looplab.rootsub import (_hardy_columns, log_product_formula, recover_coords,
+from looplab.rootsub import (OBSERVABLES, _a0, _hardy_columns,
+                             log_product_formula, recover_coords,
                              recover_eta0, synthesize)
-from looplab.wiener import (_OBSERVABLES, WienerConfig, _collect, _ks_two_sample,
+from looplab.wiener import (WienerConfig, _collect, _ks_two_sample,
                             _ks_uniform, _pinned_walks, _walk_loop, _walk_stream,
                             eta0_pushforward_experiment, invariance_experiment,
                             reparam_invariance_experiment)
@@ -184,14 +185,14 @@ def test_hyperbolic_a0_is_the_constant_factor_of_the_composition(s, truncation):
         M = 2 * g.band_width
         # X holds the series h = (g0 g_+)^-1: g0 = X[0]^-1, g_+ = X[0] h^-1,
         # so g0 g_+(p0) = h(p0)^-1, and g_- = g h, read off its modes <= 0
-        X = _solve_hardy_columns(g, M)
+        X = hardy_columns(g, M)[0]
         h_p0 = np.tensordot(p0 ** np.arange(M + 1), X, axes=1)
         gm = multiply(g, LaurentLoop(2, 0, M, X))
         gm_inf = np.tensordot(pinf ** np.arange(gm.n_min, 1),
                               gm.coeffs[:1 - gm.n_min], axes=1)
         G = gm_inf @ np.linalg.inv(h_p0)
         expected = abs(G[0, 0]) / np.sqrt(abs(np.linalg.det(G)))
-        got = wiener._a0(mobius_reparam(g, a, b, band_out=2 * g.band_width))
+        got = _a0(mobius_reparam(g, a, b, band_out=2 * g.band_width))
         assert abs(got - expected) <= 1e-10 * expected
 
 
@@ -260,14 +261,14 @@ def _synthesized_draws():
 def test_observables_match_independent_routes():
     for c, g in _synthesized_draws():
         M = g.band_width + 4
-        a0 = _OBSERVABLES["a0"](g, M)
+        a0 = OBSERVABLES["a0"](g, M)
         assert abs(a0 - triangular_factor(g, 2 * g.band_width).a0) <= 1e-10
         # a0 is read from g0 normalized to determinant 1: blind to a scalar
         g2 = LaurentLoop(2, g.n_min, g.n_max, 2.0 * g.coeffs)
-        assert abs(_OBSERVABLES["a0"](g2, M) - a0) <= 1e-10
+        assert abs(OBSERVABLES["a0"](g2, M) - a0) <= 1e-10
         assert abs(a0 - np.exp(0.5 * log_product_formula(c, "a0sq"))) <= 1e-10
-        assert abs(_OBSERVABLES["abs_eta0"](g, M) - abs(c.eta[0])) <= 1e-10
-        assert abs(_OBSERVABLES["abs_zeta1"](g, M) - abs(c.zeta[0])) <= 1e-10
+        assert abs(OBSERVABLES["abs_eta0"](g, M) - abs(c.eta[0])) <= 1e-10
+        assert abs(OBSERVABLES["abs_zeta1"](g, M) - abs(c.zeta[0])) <= 1e-10
 
 
 def _rotation_plus_z(eps):
@@ -283,7 +284,7 @@ def test_one_top_stratum_rule_for_every_hardy_read_out(eps):
     # (g0)_11 = sin(eps) is below 1e-12 of the largest entry: no Hardy read-out
     # exists; at eps = 0, abs_zeta1 used to return 0.1
     g = _rotation_plus_z(eps)
-    for obs in _OBSERVABLES.values():
+    for obs in OBSERVABLES.values():
         with pytest.raises(NotInTopStratum):
             obs(g, g.band_width + 4)
     with pytest.raises(NotInTopStratum):
@@ -294,14 +295,14 @@ def test_one_top_stratum_rule_for_every_hardy_read_out(eps):
 
 def test_top_stratum_rule_admits_a_small_entry_above_it():
     g = _rotation_plus_z(1e-11)
-    for obs in _OBSERVABLES.values():
+    for obs in OBSERVABLES.values():
         assert np.isfinite(obs(g, g.band_width + 4))
     assert np.isfinite(recover_eta0(g))
 
 
 def _eta0_constant_block(g, M):
     """recover_eta0 as it read the constant block before the eta peel did."""
-    H = _solve_hardy_columns(star(g), M)[0]
+    H = hardy_columns(star(g), M)[0][0]
     return complex(np.conj(H[0, 1] / H[1, 1]))
 
 
@@ -327,9 +328,9 @@ def test_converged_observables_match_closed_forms(truncation, level):
         assert _chosen_cutoff(g) <= g.band_width
         assert _chosen_cutoff(star(g)) <= g.band_width
         a0 = np.exp(0.5 * log_product_formula(c, "a0sq"))
-        assert abs(_OBSERVABLES["a0"](g) - a0) <= 1e-10
-        assert abs(_OBSERVABLES["abs_eta0"](g) - abs(c.eta[0])) <= 1e-10
-        assert abs(_OBSERVABLES["abs_zeta1"](g) - abs(c.zeta[0])) <= 1e-10
+        assert abs(OBSERVABLES["a0"](g) - a0) <= 1e-10
+        assert abs(OBSERVABLES["abs_eta0"](g) - abs(c.eta[0])) <= 1e-10
+        assert abs(OBSERVABLES["abs_zeta1"](g) - abs(c.zeta[0])) <= 1e-10
 
 
 def test_converged_cutoff_of_a_walk_loop_exceeds_its_band():
@@ -343,7 +344,7 @@ def test_converged_cutoff_of_a_walk_loop_exceeds_its_band():
 def test_converged_cutoff_of_a_constant_loop_is_the_floor():
     g = from_coeff_dict({0: np.array([[0.6, 0.8], [-0.8, 0.6]])})
     assert _chosen_cutoff(g) == 8
-    assert _OBSERVABLES["a0"](g) == pytest.approx(0.6)
+    assert OBSERVABLES["a0"](g) == pytest.approx(0.6)
 
 
 def test_converged_solve_raises_past_its_cap():
