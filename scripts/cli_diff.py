@@ -29,9 +29,12 @@ from bench_pairs import ROOT, export_revision
 # walk stream's chunk boundary at 256; abs_eta0 and the hyperbolic
 # reparameterization also at truncation 24, where the converged Hardy cutoff
 # falls well below the band, and there once more at seed 9, where 3 of the 80
-# converged read-outs grow the cutoff past its start; general sampling and
-# affine tables also on G2 and C3, where comarks differ from 1 and
-# rho(h_beta) from the height of beta, and on E8
+# converged read-outs grow the cutoff past its start; the power control,
+# whose two streams are read in closed form from their coordinates, also
+# with abs_zeta1; the identity modes, whose two streams are both read in
+# closed form and must give D = 0; general sampling and affine tables also on G2 and C3,
+# where comarks differ from 1 and rho(h_beta) from the height of beta, and
+# on E8
 COMMANDS = (
     "sample --level 0 --truncation 16 --n 10 --seed 3",
     "sample --general A2 --truncation 8 --n 3 --seed 3",
@@ -56,12 +59,15 @@ COMMANDS = (
     "wiener --n 300 --seed 3",
     "invariance --mode translate --truncation 16 --n 100 --seed 7",
     "invariance --observable abs_zeta1 --truncation 12 --n 100 --seed 7",
+    "invariance --mode identity --truncation 12 --n 100 --seed 7",
     "invariance --mode power --truncation 12 --n 100 --seed 7",
+    "invariance --mode power --observable abs_zeta1 --truncation 12 --n 100 --seed 7",
     "invariance --observable abs_eta0 --truncation 24 --n 40 --seed 7",
     "reparam --mode hyperbolic --truncation 12 --n 40 --seed 4",
     "reparam --mode hyperbolic --truncation 24 --n 40 --seed 4",
     "reparam --mode hyperbolic --truncation 24 --n 40 --seed 9",
     "reparam --mode rotation --truncation 12 --n 40 --seed 4",
+    "reparam --mode identity --truncation 12 --n 40 --seed 4",
 )
 
 

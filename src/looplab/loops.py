@@ -47,6 +47,9 @@ class LaurentLoop:
         # the band n_min <= 0 <= n_max, of integers, and a positive dim
         check_count("dim", self.dim, 1)
         check_count("n_max", self.n_max, 0)
+        if isinstance(self.n_min, bool) or not isinstance(self.n_min, numbers.Integral):
+            raise InvalidInput("-n_min must be an integer >= 0, got "
+                               f"n_min = {self.n_min!r}")
         check_count("-n_min", -self.n_min, 0)
         # an ndarray is kept as the same object; nested lists become one
         try:

@@ -5,7 +5,8 @@ supported coordinate sequences; recovery peels the coordinates back off a
 loop from the Hardy columns of g and star(g), which
 factorization.hardy_columns solves on one LU, by sparse factor stripping;
 the product formulas give the closed-form truncated Toeplitz determinants.
-OBSERVABLES are the Hardy read-outs of the invariance experiments.
+OBSERVABLES pair each observable of the invariance experiments' Hardy
+read-out with its closed form in the coordinates.
 """
 
 from __future__ import annotations
@@ -320,13 +321,16 @@ def _a0(g: LaurentLoop, M: int | None = None) -> float:
     return float(abs(H[1, 1]) / np.sqrt(abs(np.linalg.det(H))))
 
 
-# observables of the invariance experiments: name -> value on a loop, from
-# the converged Hardy solve, or the finite section at cutoff M when M is given
+# observables of the invariance experiments: name -> (read-out of a loop, from
+# the converged Hardy solve or the finite section at cutoff M when M is given;
+# the same value in closed form from the coordinates c of synthesize(c))
 OBSERVABLES = {
-    "a0": _a0,
-    "abs_eta0": lambda g, M=None: abs(recover_eta0(g, M=M)),
-    "abs_zeta1": lambda g, M=None: float(
-        abs(_peel(*_zeta_columns(_hardy_columns(g, M)), [1])[0])),
+    "a0": (_a0, lambda c: float(np.exp(0.5 * log_product_formula(c, "a0sq")))),
+    "abs_eta0": (lambda g, M=None: abs(recover_eta0(g, M=M)),
+                 lambda c: float(abs(c.eta[0]))),
+    "abs_zeta1": (lambda g, M=None: float(abs(
+                      _peel(*_zeta_columns(_hardy_columns(g, M)), [1])[0])),
+                  lambda c: float(abs(c.zeta[0]))),
 }
 
 

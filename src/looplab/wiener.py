@@ -2,10 +2,12 @@
 
 The sampler runs a multiplicative Gaussian walk on the group, pins it into
 a closed loop by a geodesic correction, and projects the grid samples onto
-a band-limited Laurent loop.  The experiments push loops (or exact
-coordinate samples) through the Hardy read-outs of rootsub (recover_eta0
-and OBSERVABLES, on factorization.hardy_columns) and report
-Kolmogorov-Smirnov statistics.
+a band-limited Laurent loop.  The experiments report Kolmogorov-Smirnov
+statistics.  The harness reads the draws it synthesized (the untranslated
+stream, both power-control streams, g itself under an identity map) in
+closed form from their coordinates (OBSERVABLES); h g, g o sigma^-1 and
+walk loops by the Hardy read-outs of rootsub.  The eta_0 self-test's exact
+stream keeps recover_eta0, as that pipeline is what it tests.
 """
 
 from __future__ import annotations
@@ -248,19 +250,26 @@ def _ks_two_sample(a, b):
     return float(res.statistic), float(res.pvalue)
 
 
-def _paired_experiment(spec: MeasureSpec, second, observable: str, n: int,
-                       seed: int) -> InvarianceReport:
-    """Common harness: observable law of g, drawn from spec, against that of
-    second(g, i), i the index of the draw."""
+def _paired_experiment(spec: MeasureSpec, observable: str, n: int, seed: int,
+                       loop=None, coords=None) -> InvarianceReport:
+    """Common harness: observable law of g = synthesize(c), c drawn from
+    spec, against that of a second stream at the draw's index i: the loop
+    loop(g, i) (h g, g o sigma^-1), read by the Hardy solve as its
+    coordinates are unknown, or else the coordinates coords(c, i), read in
+    closed form (the power control's draw, or c under an identity map).
+    g is read in closed form from c.  Every draw is synthesized, as
+    synthesis decides whether it enters.  The eta_0 self-test keeps its
+    Hardy read-out of exact draws, which it tests."""
     if observable not in OBSERVABLES:
         raise InvalidInput(f"unknown observable {observable!r}")
     check_count("n", n, 1)
     check_count("seed", seed, 0)
-    obs = OBSERVABLES[observable]
+    read, closed = OBSERVABLES[observable]
 
     def draw(i):
-        g = synthesize(sample_coords(spec, np.random.default_rng([int(seed), i])))
-        return obs(g), obs(second(g, i))
+        c = sample_coords(spec, np.random.default_rng([int(seed), i]))
+        g = synthesize(c)
+        return closed(c), read(loop(g, i)) if loop else closed(coords(c, i))
 
     pairs, rate = _collect(n, draw)
     ks, p = _ks_two_sample(*zip(*pairs))
@@ -277,20 +286,24 @@ def invariance_experiment(spec: MeasureSpec, h: LaurentLoop | None,
     Passing spec_b (and h=None) runs the power control instead: stream two
     is sampled from the second measure and must be distinguishable.
     """
+    if spec_b is not None and h is not None:
+        raise InvalidInput("pass a translating loop h or spec_b, not both")
     if spec_b is not None:
-        def second(g, i):
-            return synthesize(sample_coords(
-                spec_b, np.random.default_rng([int(seed), i, 1])))
-    elif h is None:
+        def coords(c, i):
+            cb = sample_coords(spec_b, np.random.default_rng([int(seed), i, 1]))
+            synthesize(cb)   # unread: synthesis decides whether the draw enters
+            return cb
+        return _paired_experiment(spec, observable, n, seed, coords=coords)
+    if h is None:
         raise InvalidInput("need a translating loop h (or spec_b)")
-    elif h.dim != 2:
+    if h.dim != 2:
         raise InvalidInput(f"h must be a 2x2 loop, got dim {h.dim}")
-    else:
-        def second(g, i):
-            # exact: no truncation, the product band is the sum of the factors'
-            return multiply(h, g)
-
-    return _paired_experiment(spec, second, observable, n, seed)
+    if h.band_width == 0 and np.array_equal(h.coeffs[0], np.eye(2)):
+        # I g = g, whose coordinates are c
+        return _paired_experiment(spec, observable, n, seed, coords=lambda c, i: c)
+    # exact: no truncation, the product band is the sum of the factors'
+    return _paired_experiment(spec, observable, n, seed,
+                              loop=lambda g, i: multiply(h, g))
 
 
 def reparam_invariance_experiment(spec: MeasureSpec, a: complex, b: complex,
@@ -298,8 +311,8 @@ def reparam_invariance_experiment(spec: MeasureSpec, a: complex, b: complex,
                                   seed: int = 0) -> InvarianceReport:
     """Mobius reparameterization invariance check: law of g vs g o sigma^-1."""
     mobius_check(a, b)
-
-    def second(g, i):
-        return mobius_reparam(g, a, b, band_out=g.band_width)
-
-    return _paired_experiment(spec, second, observable, n, seed)
+    if b == 0 and np.imag(a) == 0:
+        # sigma = id: g o sigma^-1 = g, whose coordinates are c
+        return _paired_experiment(spec, observable, n, seed, coords=lambda c, i: c)
+    return _paired_experiment(spec, observable, n, seed, loop=lambda g, i:
+                              mobius_reparam(g, a, b, band_out=g.band_width))

@@ -168,6 +168,16 @@ def test_invariance_identity_mode(capsys):
     assert summary["ks"] == 0.0 and summary["gate_pass"] is True
 
 
+def test_reparam_identity_mode(capsys):
+    # sigma = id leaves g: both streams hold the same values, so D = 0
+    rc, out, _ = _run(capsys, ["reparam", "--mode", "identity", "--n", "10",
+                               "--truncation", "6", "--seed", "0"])
+    assert rc == 0
+    summary = json.loads(out)
+    assert summary["ks"] == 0.0 and summary["max_per_sample_diff"] == 0.0
+    assert summary["gate_pass"] is True
+
+
 def test_reparam_rotation_mode(capsys):
     rc, out, _ = _run(capsys, ["reparam", "--mode", "rotation", "--n", "10",
                                "--truncation", "6", "--seed", "0"])

@@ -208,8 +208,12 @@ def test_coeff_dict_matrices_must_be_numeric_dim_by_dim(mat):
     (lambda: LaurentLoop(0, 0, 0, np.zeros((1, 0, 0))), "dim"),
     (lambda: LaurentLoop(2, -0.5, 0.5, np.zeros((2, 2, 2))), "n_max"),
     (lambda: LaurentLoop(2, -0.5, 0, np.zeros((1, 2, 2))), "-n_min"),
+    (lambda: LaurentLoop(2, None, 0, np.zeros((1, 2, 2))), "-n_min"),
+    (lambda: LaurentLoop(2, "a", 0, np.zeros((1, 2, 2))), "-n_min"),
+    (lambda: LaurentLoop(2, False, 0, np.zeros((1, 2, 2))), "-n_min"),
 ], ids=["dict-negative-dim", "dict-float-dim", "float-dim", "zero-dim",
-        "0x0-loop", "half-integer-band", "half-integer-n_min"])
+        "0x0-loop", "half-integer-band", "half-integer-n_min", "none-n_min",
+        "string-n_min", "bool-n_min"])
 def test_loop_dim_and_band_must_be_counts(build, name):
     with pytest.raises(InvalidInput, match=f"^{name} must be an integer"):
         build()

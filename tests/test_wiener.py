@@ -164,6 +164,15 @@ def test_invariance_requires_h_or_control():
         invariance_experiment(spec, None, "a0", 10, seed=0)
 
 
+def test_invariance_rejects_both_h_and_control():
+    # the power control used to drop h without a word
+    spec = MeasureSpec.su2(0.0, 8)
+    h = from_coeff_dict({0: np.eye(2)})
+    with pytest.raises(InvalidInput, match="not both"):
+        invariance_experiment(spec, h, "a0", 5, seed=1,
+                              spec_b=MeasureSpec.su2(2.0, 8))
+
+
 def test_reparam_rotation_per_sample_exact():
     spec = MeasureSpec.su2(0.0, 8)
     rep = reparam_invariance_experiment(spec, np.exp(0.35j), 0.0, "a0", 30,
@@ -261,14 +270,63 @@ def _synthesized_draws():
 def test_observables_match_independent_routes():
     for c, g in _synthesized_draws():
         M = g.band_width + 4
-        a0 = OBSERVABLES["a0"](g, M)
+        a0 = OBSERVABLES["a0"][0](g, M)
         assert abs(a0 - triangular_factor(g, 2 * g.band_width).a0) <= 1e-10
         # a0 is read from g0 normalized to determinant 1: blind to a scalar
         g2 = LaurentLoop(2, g.n_min, g.n_max, 2.0 * g.coeffs)
-        assert abs(OBSERVABLES["a0"](g2, M) - a0) <= 1e-10
+        assert abs(OBSERVABLES["a0"][0](g2, M) - a0) <= 1e-10
         assert abs(a0 - np.exp(0.5 * log_product_formula(c, "a0sq"))) <= 1e-10
-        assert abs(OBSERVABLES["abs_eta0"](g, M) - abs(c.eta[0])) <= 1e-10
-        assert abs(OBSERVABLES["abs_zeta1"](g, M) - abs(c.zeta[0])) <= 1e-10
+        assert abs(OBSERVABLES["abs_eta0"][0](g, M) - abs(c.eta[0])) <= 1e-10
+        assert abs(OBSERVABLES["abs_zeta1"][0](g, M) - abs(c.zeta[0])) <= 1e-10
+        for read, closed in OBSERVABLES.values():
+            assert abs(read(g, M) - closed(c)) <= 1e-10
+
+
+def _harness_values(monkeypatch, run):
+    """(i, first value, second value) of every draw i the harness kept in
+    run(), as _paired_experiment's draw returned them."""
+    kept, real = [], wiener._collect
+
+    def collect(n, draw):
+        def recorded(i):
+            va, vb = draw(i)
+            kept.append((i, va, vb))
+            return va, vb
+        return real(n, recorded)
+
+    monkeypatch.setattr(wiener, "_collect", collect)
+    run()
+    return kept
+
+
+@pytest.mark.parametrize("observable", sorted(OBSERVABLES))
+@pytest.mark.parametrize("truncation", [12, 24])
+@pytest.mark.parametrize("level", [0.0, 2.0])
+def test_harness_reads_synthesized_draws_as_the_hardy_read_out(
+        monkeypatch, observable, truncation, level):
+    # oracle: the converged Hardy read-out of synthesize(c) for each draw c
+    # the harness read in closed form, in the translation and in both
+    # streams of the power control (against the other level)
+    read = OBSERVABLES[observable][0]
+    spec = MeasureSpec.su2(level, truncation)
+    spec_b = MeasureSpec.su2(2.0 - level, truncation)
+
+    def oracle(s, key):
+        return read(synthesize(sample_coords(s, np.random.default_rng(key))))
+
+    c, sn = np.cos(0.8), np.sin(0.8)
+    h = from_coeff_dict({0: np.array([[c, sn], [-sn, c]], dtype=complex)})
+    kept = _harness_values(monkeypatch, lambda: invariance_experiment(
+        spec, h, observable, 4, seed=5))
+    assert len(kept) == 4
+    for i, va, _ in kept:
+        assert abs(va - oracle(spec, [5, i])) <= 1e-10
+    kept = _harness_values(monkeypatch, lambda: invariance_experiment(
+        spec, None, observable, 4, seed=5, spec_b=spec_b))
+    assert len(kept) == 4
+    for i, va, vb in kept:
+        assert abs(va - oracle(spec, [5, i])) <= 1e-10
+        assert abs(vb - oracle(spec_b, [5, i, 1])) <= 1e-10
 
 
 def _rotation_plus_z(eps):
@@ -284,9 +342,9 @@ def test_one_top_stratum_rule_for_every_hardy_read_out(eps):
     # (g0)_11 = sin(eps) is below 1e-12 of the largest entry: no Hardy read-out
     # exists; at eps = 0, abs_zeta1 used to return 0.1
     g = _rotation_plus_z(eps)
-    for obs in OBSERVABLES.values():
+    for read, _ in OBSERVABLES.values():
         with pytest.raises(NotInTopStratum):
-            obs(g, g.band_width + 4)
+            read(g, g.band_width + 4)
     with pytest.raises(NotInTopStratum):
         recover_eta0(g)
     with pytest.raises(NotInTopStratum):
@@ -295,8 +353,8 @@ def test_one_top_stratum_rule_for_every_hardy_read_out(eps):
 
 def test_top_stratum_rule_admits_a_small_entry_above_it():
     g = _rotation_plus_z(1e-11)
-    for obs in OBSERVABLES.values():
-        assert np.isfinite(obs(g, g.band_width + 4))
+    for read, _ in OBSERVABLES.values():
+        assert np.isfinite(read(g, g.band_width + 4))
     assert np.isfinite(recover_eta0(g))
 
 
@@ -328,9 +386,11 @@ def test_converged_observables_match_closed_forms(truncation, level):
         assert _chosen_cutoff(g) <= g.band_width
         assert _chosen_cutoff(star(g)) <= g.band_width
         a0 = np.exp(0.5 * log_product_formula(c, "a0sq"))
-        assert abs(OBSERVABLES["a0"](g) - a0) <= 1e-10
-        assert abs(OBSERVABLES["abs_eta0"](g) - abs(c.eta[0])) <= 1e-10
-        assert abs(OBSERVABLES["abs_zeta1"](g) - abs(c.zeta[0])) <= 1e-10
+        assert abs(OBSERVABLES["a0"][0](g) - a0) <= 1e-10
+        assert abs(OBSERVABLES["abs_eta0"][0](g) - abs(c.eta[0])) <= 1e-10
+        assert abs(OBSERVABLES["abs_zeta1"][0](g) - abs(c.zeta[0])) <= 1e-10
+        for read, closed in OBSERVABLES.values():
+            assert abs(read(g) - closed(c)) <= 1e-10
 
 
 def test_converged_cutoff_of_a_walk_loop_exceeds_its_band():
@@ -344,7 +404,7 @@ def test_converged_cutoff_of_a_walk_loop_exceeds_its_band():
 def test_converged_cutoff_of_a_constant_loop_is_the_floor():
     g = from_coeff_dict({0: np.array([[0.6, 0.8], [-0.8, 0.6]])})
     assert _chosen_cutoff(g) == 8
-    assert OBSERVABLES["a0"](g) == pytest.approx(0.6)
+    assert OBSERVABLES["a0"][0](g) == pytest.approx(0.6)
 
 
 def test_converged_solve_raises_past_its_cap():
