@@ -182,7 +182,7 @@ def _ks_uniform(u):
     of the sorted u, read as scipy's _compute_d reads it (the uniform cdf is
     the identity on [0, 1]), and its exact p-value kstwo.sf(D, n), clipped
     to [0, 1]."""
-    from scipy import stats     # about 0.4 s to import, so only when used
+    from scipy import stats     # 0.55-0.6 s and 40 MB to import, so only here
     u = np.sort(u)
     n = len(u)
     d_plus = np.max(np.arange(1.0, n + 1) / n - u)
@@ -234,20 +234,39 @@ class InvarianceReport:
 
 
 def _ks_two_sample(a, b):
-    """Two-sample KS statistic D = h/n of two samples of equal size n, and
-    its p-value: exact up to n = 10000 and asymptotic above, as scipy's
-    default chooses.  For h <= 1 the p-value is 1 exactly (two samples with
-    no common value always reach h = 1); scipy's exact routine rounds it,
-    for some n above 1, where it falls back with a warning."""
-    from scipy import stats
+    """Two-sample KS statistic D = h/n of two samples of equal size n and its
+    p-value, as scipy's ks_2samp gives them: exact up to n = 10000 and
+    asymptotic above.  h is the largest gap between the samples' counts of
+    values <= x over the pooled x.  For h <= 1 the p-value is 1 exactly (two
+    samples with no common value always reach h = 1).  Above, P(D >= h/n) is
+    Hodges' alternating sum (Ark. Mat. 3, 1958) in scipy's Horner form and
+    order, clipped to [0, 1]: for small h it can exceed 1 by an ulp, where
+    scipy warns and takes the asymptotic value instead."""
+    a, b = np.sort(a), np.sort(b)
     n = len(a)
-    res = stats.ks_2samp(a, b, method="asymp")
-    h = round(res.statistic * n)
+    pooled = np.concatenate([a, b])
+    h = int(np.abs(np.searchsorted(a, pooled, side="right")
+                   - np.searchsorted(b, pooled, side="right")).max())
     if h <= 1:
         return h / n, 1.0
-    if n <= 10000:
-        res = stats.ks_2samp(a, b, method="exact")
-    return float(res.statistic), float(res.pvalue)
+    if n > 10000:
+        from scipy import stats     # on first use, as in _ks_uniform
+        res = stats.ks_2samp(a, b, method="asymp")
+        return float(res.statistic), float(res.pvalue)
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        q = 1.0
+        for j in range(h):
+            q = (n - k * h - j) * q / (n + k * h + j + 1)
+        p = q * (1.0 - p)
+    return h / n, min(max(2 * p, 0.0), 1.0)
+
+
+def _check_su2_spec(name: str, spec) -> None:
+    """The harness synthesizes SU(2) loops from the coordinates it draws."""
+    if not isinstance(spec, MeasureSpec) or spec.source != "su2":
+        raise InvalidInput(f"{name} must be an su2 MeasureSpec, got "
+                           f"{getattr(spec, 'source', type(spec).__name__)}")
 
 
 def _paired_experiment(spec: MeasureSpec, observable: str, n: int, seed: int,
@@ -260,6 +279,7 @@ def _paired_experiment(spec: MeasureSpec, observable: str, n: int, seed: int,
     g is read in closed form from c.  Every draw is synthesized, as
     synthesis decides whether it enters.  The eta_0 self-test keeps its
     Hardy read-out of exact draws, which it tests."""
+    _check_su2_spec("spec", spec)
     if observable not in OBSERVABLES:
         raise InvalidInput(f"unknown observable {observable!r}")
     check_count("n", n, 1)
@@ -289,6 +309,8 @@ def invariance_experiment(spec: MeasureSpec, h: LaurentLoop | None,
     if spec_b is not None and h is not None:
         raise InvalidInput("pass a translating loop h or spec_b, not both")
     if spec_b is not None:
+        _check_su2_spec("spec_b", spec_b)
+
         def coords(c, i):
             cb = sample_coords(spec_b, np.random.default_rng([int(seed), i, 1]))
             synthesize(cb)   # unread: synthesis decides whether the draw enters
@@ -296,6 +318,8 @@ def invariance_experiment(spec: MeasureSpec, h: LaurentLoop | None,
         return _paired_experiment(spec, observable, n, seed, coords=coords)
     if h is None:
         raise InvalidInput("need a translating loop h (or spec_b)")
+    if not isinstance(h, LaurentLoop):
+        raise InvalidInput(f"h must be a LaurentLoop, got {type(h).__name__}")
     if h.dim != 2:
         raise InvalidInput(f"h must be a 2x2 loop, got dim {h.dim}")
     if h.band_width == 0 and np.array_equal(h.coeffs[0], np.eye(2)):

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the library against."""
 
 import numpy as np
+from scipy import stats
 
 from looplab import wiener
 from looplab.loops import LaurentLoop, default_grid_size, evaluate
@@ -57,3 +58,18 @@ def pinned_walk(cfg: wiener.WienerConfig, idx: int) -> np.ndarray:
     ks = np.arange(cfg.steps + 1) / cfg.steps
     corr = wiener._su2_exp(-ks[:, None] * v_end[None, :])
     return np.einsum("kab,kbc->kac", walk, corr)
+
+
+def ks_two_sample(a, b):
+    """Two-sample KS statistic and p-value of two samples of equal size n by
+    scipy's ks_2samp: exact up to n = 10000, asymptotic above; for h = D n
+    <= 1 the p-value is 1.  scipy warns (RuntimeWarning) where its exact
+    p-value leaves [0, 1] and returns the asymptotic one instead."""
+    n = len(a)
+    res = stats.ks_2samp(a, b, method="asymp")
+    h = round(res.statistic * n)
+    if h <= 1:
+        return h / n, 1.0
+    if n <= 10000:
+        res = stats.ks_2samp(a, b, method="exact")
+    return float(res.statistic), float(res.pvalue)

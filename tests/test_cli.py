@@ -226,13 +226,31 @@ def _run_module(module, argv, **env_extra):
 
 
 def test_import_loads_no_scipy_stats_integrate_special_or_fft():
-    # they load on first use (KS tests, Hellinger quadrature, Gamma), so a
-    # command that uses none of them does not pay for them at start-up
+    # they load on first use (the eta_0 test's KS p-value, Hellinger
+    # quadrature, Gamma), so a command that uses none of them does not pay
+    # for them at start-up
     lazy = ("scipy.stats", "scipy.integrate", "scipy.special", "scipy.fft")
     code = ("import sys, looplab, looplab.cli; "
             f"print(*[m for m in {lazy!r} if m in sys.modules])")
     proc = _run_python(["-c", code])
     assert (proc.returncode, proc.stdout.strip()) == (0, "")
+
+
+@pytest.mark.parametrize("argv,loads_stats", [
+    (["invariance", "--mode", "translate", "--truncation", "6"], False),
+    (["invariance", "--mode", "power", "--truncation", "6"], False),
+    (["reparam", "--mode", "hyperbolic", "--truncation", "6"], False),
+    (["wiener", "--steps", "32"], True),    # the eta_0 test's kstwo.sf
+], ids=["translate", "power", "hyperbolic", "wiener"])
+def test_only_the_eta0_test_loads_scipy_stats(argv, loads_stats):
+    # the two-sample KS p-value of invariance and reparam is computed in
+    # looplab, so those commands start without scipy.stats
+    code = ("import sys; from looplab.cli import run; rc = run(sys.argv[1:]); "
+            "print(rc, 'scipy.stats' in sys.modules)")
+    proc = _run_python(["-c", code, *argv, "--n", "20", "--seed", "1"])
+    *out, last = proc.stdout.strip().splitlines()
+    assert proc.returncode == 0 and "ks" in json.loads(out[-1])
+    assert last.split()[1] == str(loads_stats)
 
 
 @pytest.mark.parametrize("module", ["looplab.cli", "looplab"])

@@ -1,8 +1,13 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from looplab import wiener
+from looplab.affine import (build_periodic_sequence, build_root_system,
+                            default_period, exponent_table)
 from looplab.errors import (ConvergenceFailure, ExperimentDegenerate,
                             InvalidInput, InvalidLevel, LooplabError,
                             NotInTopStratum)
@@ -18,7 +23,7 @@ from looplab.wiener import (WienerConfig, _collect, _ks_two_sample,
                             eta0_pushforward_experiment, invariance_experiment,
                             reparam_invariance_experiment)
 
-from oracles import pinned_walk, raw_walk
+from oracles import ks_two_sample, pinned_walk, raw_walk
 
 
 def test_config_validation():
@@ -249,6 +254,51 @@ def test_invariance_rejects_a_3x3_translation():
         invariance_experiment(MeasureSpec.su2(0.0, 4), h, "a0", 5, seed=0)
 
 
+def _a2_spec():
+    rs = build_root_system("A2")
+    table = exponent_table(rs, build_periodic_sequence(rs, default_period(rs), 4),
+                           Fraction(0), 4)
+    return MeasureSpec.from_exponent_table(table, 4)
+
+
+def test_translation_rejects_a_general_source_spec():
+    # the harness would synthesize SU(2) loops from the flat A2 coordinates
+    c, sn = np.cos(0.8), np.sin(0.8)
+    h = from_coeff_dict({0: np.array([[c, sn], [-sn, c]], dtype=complex)})
+    with pytest.raises(InvalidInput, match="spec must be an su2 MeasureSpec"):
+        invariance_experiment(_a2_spec(), h, "a0", 3, seed=0)
+
+
+def test_reparam_rejects_a_general_source_spec():
+    with pytest.raises(InvalidInput, match="spec must be an su2 MeasureSpec"):
+        reparam_invariance_experiment(_a2_spec(), np.cosh(0.3), np.sinh(0.3),
+                                      "a0", 3, seed=0)
+
+
+def test_power_control_rejects_a_general_source_spec_b():
+    with pytest.raises(InvalidInput, match="spec_b must be an su2 MeasureSpec"):
+        invariance_experiment(MeasureSpec.su2(0.0, 4), None, "a0", 3, seed=0,
+                              spec_b=_a2_spec())
+
+
+def test_invariance_rejects_a_matrix_for_h():
+    with pytest.raises(InvalidInput, match="h must be a LaurentLoop"):
+        invariance_experiment(MeasureSpec.su2(0.0, 4), np.eye(2), "a0", 3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: invariance_experiment("su2", from_coeff_dict({0: np.eye(2)}),
+                                  "a0", 3),
+    lambda: invariance_experiment(MeasureSpec.su2(0.0, 4), None, "a0", 3,
+                                  spec_b="su2"),
+    lambda: reparam_invariance_experiment("su2", np.cosh(0.3), np.sinh(0.3),
+                                          "a0", 3),
+], ids=["translate", "power", "reparam"])
+def test_experiments_reject_a_string_spec(run):
+    with pytest.raises(InvalidInput, match="su2 MeasureSpec, got str"):
+        run()
+
+
 def test_unknown_observable():
     spec = MeasureSpec.su2(0.0, 4)
     h = from_coeff_dict({0: np.eye(2)})
@@ -465,6 +515,39 @@ def test_ks_two_sample_matches_scipy_default(n):
     a, b = rng.standard_normal(n), rng.standard_normal(n) + 0.1
     res = stats.ks_2samp(a, b)
     assert _ks_two_sample(a, b) == (res.statistic, res.pvalue)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 40, 100, 300, 800, 2000,
+                               10 ** 4, 10 ** 4 + 1])
+def test_ks_two_sample_matches_scipys_ks_2samp(n):
+    rng = np.random.default_rng([n, 5])
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    line = np.arange(n, dtype=float)
+    cases = {"shifted": (a, b + 0.3), "tied": (np.round(a, 1), np.round(b, 1)),
+             "identical": (a, a.copy()), "interleaved": (line, line + 0.5),
+             "interleaved by 2": (line, line + 2.5)}
+    compared = 0
+    for name, (x, y) in cases.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = ks_two_sample(x, y)
+        got = _ks_two_sample(x, y)
+        if any("Exact calculation unsuccessful" in str(w.message)
+               for w in caught):
+            # scipy's exact 2P left [0, 1]: it took the asymptotic p-value,
+            # where the harness keeps the clipped exact one
+            assert got == (want[0], 1.0), name
+            continue
+        assert got == want, name
+        compared += 1
+    assert compared >= 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_ks_two_sample_clips_an_exact_p_value_above_one():
+    # h = 2 at n = 60: Hodges' 2P is 1 + an ulp, so scipy warns and returns
+    # its asymptotic p-value 0.9999999999987117; the harness returns 1
+    assert _ks_two_sample(np.arange(60.0), np.arange(60.0) + 1.5) == (2 / 60, 1.0)
 
 
 @pytest.mark.filterwarnings("error")
