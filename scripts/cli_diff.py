@@ -34,10 +34,12 @@ from bench_pairs import ROOT, export_revision
 # with abs_zeta1; the identity modes, whose two streams are both read in
 # closed form and must give D = 0; general sampling and affine tables also on G2 and C3,
 # where comarks differ from 1 and rho(h_beta) from the height of beta, and
-# on E8
+# on E8; sample also as JSON, whose config record no other command shows
 COMMANDS = (
     "sample --level 0 --truncation 16 --n 10 --seed 3",
+    "sample --format json --truncation 4 --n 3 --seed 3",
     "sample --general A2 --truncation 8 --n 3 --seed 3",
+    "sample --general A2 --format json --truncation 4 --n 2 --seed 3",
     "sample --general G2 --level 2 --truncation 6 --n 3 --seed 3",
     "identities --level 0 --m 64 --trials 8 --seed 7",
     "roundtrip --level 0 --trials 6 --seed 5",

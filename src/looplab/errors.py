@@ -18,9 +18,9 @@ class InvalidLevel(InvalidInput):
 
 
 def check_level(level) -> None:
-    """Raise InvalidLevel unless level is a finite number > -1: NaN and +inf
-    fail the comparison, as does anything at or below -1."""
-    if not -1 < level < math.inf:
+    """Raise InvalidLevel unless level is a finite real number > -1: NaN and
+    +inf fail the comparison, as does anything at or below -1."""
+    if not (isinstance(level, numbers.Real) and -1 < level < math.inf):
         raise InvalidLevel(f"level {level} is not a finite number > -1")
 
 

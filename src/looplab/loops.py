@@ -214,8 +214,10 @@ _MOBIUS_TOL = 1e-9
 
 
 def mobius_check(a: complex, b: complex) -> None:
-    # written so that NaN (and inf - inf) fails the test
-    if not abs(abs(a) ** 2 - abs(b) ** 2 - 1.0) <= _MOBIUS_TOL:
+    # |a|^2 - |b|^2 as (|a| - |b|)(|a| + |b|) in Python floats, which go to
+    # inf rather than overflow or warn; NaN (and inf - inf) fails the test
+    ra, rb = float(abs(a)), float(abs(b))
+    if not abs((ra - rb) * (ra + rb) - 1.0) <= _MOBIUS_TOL:
         raise InvalidInput(
             "Mobius parameters must satisfy |a|^2 - |b|^2 = 1 (circle-preserving)")
 
@@ -300,7 +302,7 @@ def loop_from_json(text: str) -> LaurentLoop:
         dim, n_min, n_max, modes = (obj[k] for k in ("dim", "n_min", "n_max", "coeffs"))
     except (KeyError, TypeError):
         raise InvalidInput("loop JSON needs the keys dim, n_min, n_max, coeffs") from None
-    if not all(isinstance(v, int) for v in (dim, n_min, n_max)) or dim < 1:
+    if not all(type(v) is int for v in (dim, n_min, n_max)) or dim < 1:
         raise InvalidInput("loop JSON needs integers dim >= 1, n_min and n_max")
     try:
         arr = np.array([[re + 1j * im for re, im in flat] for flat in modes],

@@ -42,12 +42,19 @@ class MeasureSpec:
 
     def __post_init__(self):
         check_level(self.level)
+        check_count("truncation", self.truncation, 1)
         for name in ("eta_exponents", "chi_rates", "zeta_exponents"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.eta_exponents <= 1) or np.any(self.zeta_exponents <= 1):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (self.truncation,):
+                raise InvalidInput(f"{name} must hold truncation = "
+                                   f"{self.truncation} entries, got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
+        # comparisons that NaN fails
+        if not (np.all(self.eta_exponents > 1) and np.all(self.zeta_exponents > 1)):
             raise InvalidInput("all radial exponents must exceed 1 "
                                "(integrability)")
+        if not np.all(self.chi_rates > 0):
+            raise InvalidInput("all chi rates must be positive")
 
     @classmethod
     def su2(cls, level: float, truncation: int) -> "MeasureSpec":

@@ -53,13 +53,19 @@ class RootCoordsSU2:
 
     def __post_init__(self):
         check_level(self.level)
-        if abs(complex(self.chi0).real) > 1e-12:
+        try:
+            chi0 = complex(self.chi0)
+            arrays = [np.asarray(getattr(self, name), dtype=complex)
+                      for name in ("eta", "chi", "zeta")]
+        except (TypeError, ValueError):
+            raise InvalidInput("coordinates must be complex numbers") from None
+        if any(arr.ndim != 1 for arr in arrays):
+            raise InvalidInput("eta, chi and zeta must be 1-D arrays")
+        if abs(chi0.real) > 1e-12:
             raise InvalidInput("chi0 must be purely imaginary")
-        for name in ("eta", "chi", "zeta"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=complex))
-        if not np.isfinite(np.concatenate(
-                [[self.chi0], self.eta, self.chi, self.zeta])).all():
+        for name, arr in zip(("eta", "chi", "zeta"), arrays):
+            object.__setattr__(self, name, arr)
+        if not np.isfinite(np.concatenate([[chi0], *arrays])).all():
             raise InvalidInput("coordinates must be finite")
 
 

@@ -12,6 +12,7 @@ stream keeps recover_eta0, as that pipeline is what it tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ class WienerConfig:
     band: int | None = None
 
     def __post_init__(self):
-        if not self.beta > 0:    # NaN fails too
-            raise InvalidInput("beta must be positive")
+        if not 0 < self.beta < math.inf:    # NaN fails too
+            raise InvalidInput(f"beta must be a finite number > 0, got {self.beta}")
         check_count("steps", self.steps, 8)
         check_count("n_samples", self.n_samples, 1)
         check_count("seed", self.seed, 0)

@@ -271,3 +271,96 @@ def test_identities_output_does_not_depend_on_blas_threads():
                 for n in ("1", "2"))
     assert one.returncode == 0 and one.stdout
     assert (two.returncode, two.stdout) == (one.returncode, one.stdout)
+
+
+_SMALL = {
+    "sample": ["sample", "--n", "2", "--truncation", "2"],
+    "sample-json": ["sample", "--n", "2", "--truncation", "2", "--format", "json"],
+    "identities": ["identities", "--trials", "1", "--m", "8"],
+    "roundtrip": ["roundtrip", "--trials", "1"],
+    "diag": ["diag", "--n", "2000", "--truncation", "16"],
+    "affine": ["affine", "--horizon", "2"],
+    "wiener": ["wiener", "--n", "5", "--steps", "16"],
+    "invariance": ["invariance", "--n", "10", "--truncation", "6"],
+    "reparam": ["reparam", "--n", "10", "--truncation", "6"],
+}
+# the commands that print one more line to stdout after what --out takes
+_STDOUT_TAIL = ("affine", "wiener")
+
+
+@pytest.mark.parametrize("name", _SMALL)
+def test_out_writes_the_bytes_stdout_gets_without_it(tmp_path, capsys, name):
+    argv = _SMALL[name] + ["--seed", "4"]
+    rc, out, _ = _run(capsys, argv)
+    path = tmp_path / "out.txt"
+    rc_out, rest, _ = _run(capsys, argv + ["--out", str(path)])
+    written = path.read_text()
+    assert rc_out == rc and written and written + rest == out
+    assert len(rest.splitlines()) == (name in _STDOUT_TAIL)
+
+
+def _header_config(out):
+    return json.loads(out.splitlines()[0].split("config=", 1)[1])
+
+
+def test_header_config_records_every_flag_but_out(tmp_path, capsys):
+    rc, _, _ = _run(capsys, ["wiener", "--n", "5", "--steps", "16",
+                             "--out", str(tmp_path / "w.csv")])
+    assert rc == 0
+    assert _header_config((tmp_path / "w.csv").read_text()) == {
+        "command": "wiener", "beta": 0.05, "steps": 16, "n": 5, "band": None,
+        "reference_level": None, "seed": 0}
+
+
+@pytest.mark.parametrize("lambdas,recorded", [
+    ([], [1.0]), (["2"], [2.0]), (["0.5", "1", "2"], [0.5, 1.0, 2.0])])
+def test_diag_lambda_replaces_its_default(capsys, lambdas, recorded):
+    argv = ["diag", "--n", "2000", "--truncation", "16"]
+    for lam in lambdas:
+        argv += ["--lambda", lam]
+    _, out, _ = _run(capsys, argv)
+    assert _header_config(out)["lambda"] == recorded
+    assert [row.split(",")[0] for row in out.splitlines()[2:]] == [
+        str(lam) for lam in recorded]
+
+
+@pytest.mark.parametrize("command", sorted({argv[0] for argv in _SMALL.values()}))
+def test_negative_seed_is_usage_error(capsys, command):
+    _assert_usage_error(capsys, [command, "--seed", "-1"], "--seed")
+
+
+@pytest.mark.parametrize("command", sorted({argv[0] for argv in _SMALL.values()}))
+@pytest.mark.parametrize("seed", ["abc", "-1", "", "2.5"])
+def test_bad_seed_env_default_is_usage_error(capsys, monkeypatch, command, seed):
+    monkeypatch.setenv("LOOPLAB_SEED", seed)
+    _assert_usage_error(capsys, [command], "--seed")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["affine", "--rank", "0"], "--rank"),
+    (["affine", "--horizon", "0"], "--horizon"),
+    (["diag", "--truncation", "0"], "--truncation"),
+    (["wiener", "--steps", "7"], "--steps"),
+    (["wiener", "--band", "-1"], "--band"),
+    (["invariance", "--n", "1.5"], "--n"),
+])
+def test_counts_are_checked_by_the_parser(capsys, argv, flag):
+    _assert_usage_error(capsys, argv, flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reparam", "--mode", "hyperbolic", "--s", "400"],
+    ["reparam", "--mode", "hyperbolic", "--s", "1000"],
+    ["reparam", "--mode", "rotation", "--phi", "inf"],
+    ["wiener", "--beta", "inf", "--n", "2", "--steps", "16"],
+], ids=["s400", "s1000", "phi-inf", "beta-inf"])
+def test_non_finite_map_or_beta_is_usage_error(capsys, argv):
+    # the suite turns a RuntimeWarning into an error, so none may be printed
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and out == "" and err.startswith("usage error")
+
+
+def test_a_parameter_of_another_mode_is_not_read(capsys):
+    rc, out, _ = _run(capsys, ["reparam", "--mode", "identity", "--phi", "inf",
+                               "--s", "400", "--n", "4", "--truncation", "4"])
+    assert rc == 0 and json.loads(out)["ks"] == 0.0

@@ -241,6 +241,18 @@ def test_mobius_check_rejects_non_finite(a, b):
         mobius_reparam(_zloop(), a, b)
 
 
+@pytest.mark.parametrize("s", [400.0, 710.0])
+def test_mobius_check_decides_large_parameters_without_overflow(s):
+    # cosh(s)^2 overflows a float, (cosh s - sinh s)(cosh s + sinh s) does not
+    with pytest.raises(InvalidInput):
+        mobius_check(np.cosh(s), np.sinh(s))
+
+
+def test_mobius_check_accepts_a_hyperbolic_map():
+    mobius_check(np.cosh(3.0), np.sinh(3.0))
+    mobius_check(np.exp(0.35j), 0.0)
+
+
 def test_mobius_identity():
     g = _rand_loop(np.random.default_rng(2))
     out = mobius_reparam(g, 1.0, 0.0)

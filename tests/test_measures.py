@@ -52,6 +52,39 @@ def test_nonintegrable_exponent_rejected():
                     chi_rates=[4.0], zeta_exponents=[1.0])
 
 
+def _a1_table(horizon):
+    rs = build_root_system("A1")
+    seq = build_periodic_sequence(rs, default_period(rs), horizon)
+    return exponent_table(rs, seq, 0, horizon)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(eta_exponents=[np.nan]),
+    dict(zeta_exponents=[np.nan]),
+    dict(truncation=0, eta_exponents=[], chi_rates=[], zeta_exponents=[]),
+    dict(truncation="a"),
+    dict(chi_rates=[np.nan]),
+    dict(chi_rates=[0.0]),
+    dict(chi_rates=[-4.0]),
+    dict(truncation=2),
+    dict(eta_exponents=[2.0, 3.0]),
+    dict(chi_rates=[[4.0]]),
+], ids=["nan-eta", "nan-zeta", "truncation-0", "truncation-str", "nan-chi",
+        "zero-chi", "negative-chi", "arrays-short", "eta-long", "chi-2d"])
+def test_spec_rejects_bad_fields(kw):
+    fields = dict(level=0.0, truncation=1, eta_exponents=[2.0],
+                  chi_rates=[4.0], zeta_exponents=[2.0])
+    with pytest.raises(InvalidInput):
+        MeasureSpec(**{**fields, **kw})
+
+
+def test_spec_from_a_table_shorter_than_the_truncation_rejected():
+    # an A1 table at horizon 2 holds 3 eta, 2 chi and 2 zeta entries
+    with pytest.raises(InvalidInput, match="truncation = 5"):
+        MeasureSpec.from_exponent_table(_a1_table(2), 5)
+    assert MeasureSpec.from_exponent_table(_a1_table(2), 2).truncation == 2
+
+
 def test_radial_inverse_cdf_ks():
     # s has CDF 1 - (1+s)^(1-p)
     rng = np.random.default_rng(5)

@@ -36,6 +36,13 @@ def test_config_validation():
             WienerConfig(**{"beta": 1.0, "steps": 64, "n_samples": 1, **bad})
 
 
+@pytest.mark.parametrize("beta", [np.inf, -np.inf])
+def test_config_rejects_a_non_finite_beta(beta):
+    # t = 1/beta = 0 would make every walk the constant identity
+    with pytest.raises(InvalidInput, match="beta must be a finite number > 0"):
+        WienerConfig(beta=beta, steps=16, n_samples=2)
+
+
 def test_eta0_experiment_zero_samples_rejected():
     with pytest.raises(InvalidInput):
         eta0_pushforward_experiment(
