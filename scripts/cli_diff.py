@@ -32,7 +32,9 @@ from bench_pairs import ROOT, export_revision
 # converged read-outs grow the cutoff past its start; the power control,
 # whose two streams are read in closed form from their coordinates, also
 # with abs_zeta1; the identity modes, whose two streams are both read in
-# closed form and must give D = 0; general sampling and affine tables also on G2 and C3,
+# closed form and must give D = 0; the power control and the translation
+# identity also at truncation 24, where a synthesis of their closed-form
+# draws would cost most; general sampling and affine tables also on G2 and C3,
 # where comarks differ from 1 and rho(h_beta) from the height of beta, and
 # on E8; sample also as JSON, whose config record no other command shows
 COMMANDS = (
@@ -65,6 +67,8 @@ COMMANDS = (
     "invariance --mode power --truncation 12 --n 100 --seed 7",
     "invariance --mode power --observable abs_zeta1 --truncation 12 --n 100 --seed 7",
     "invariance --observable abs_eta0 --truncation 24 --n 40 --seed 7",
+    "invariance --mode power --truncation 24 --n 200 --seed 19",
+    "invariance --mode identity --truncation 24 --n 200 --seed 19",
     "reparam --mode hyperbolic --truncation 12 --n 40 --seed 4",
     "reparam --mode hyperbolic --truncation 24 --n 40 --seed 4",
     "reparam --mode hyperbolic --truncation 24 --n 40 --seed 9",

@@ -8,11 +8,13 @@ Haar measure on the torus.  Sampling is exact (inverse CDF; no MCMC).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidInput, check_count, check_level
+from .errors import (ConvergenceFailure, InvalidInput, InvalidLevel, check_count,
+                     check_level)
 from .rootsub import RootCoordsSU2
 
 __all__ = [
@@ -23,6 +25,17 @@ __all__ = [
     "log_density",
     "hellinger_vs_gaussian",
 ]
+
+
+@contextmanager
+def _overflow_is_invalid_level(level):
+    """Raise InvalidLevel, with no numpy warning, where a finite level is so
+    large that the exponents or rates computed from it overflow a float."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise InvalidLevel(f"level {level} overflows the exponents and rates") from None
 
 
 @dataclass(frozen=True)
@@ -43,11 +56,17 @@ class MeasureSpec:
     def __post_init__(self):
         check_level(self.level)
         check_count("truncation", self.truncation, 1)
+        if not (isinstance(self.source, str)
+                and (self.source == "su2" or self.source.startswith("general:"))):
+            raise InvalidInput(f"source must be 'su2' or 'general:<label>', "
+                               f"got {self.source!r}")
         for name in ("eta_exponents", "chi_rates", "zeta_exponents"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.truncation,):
                 raise InvalidInput(f"{name} must hold truncation = "
                                    f"{self.truncation} entries, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise InvalidInput(f"{name} must be finite")
             object.__setattr__(self, name, arr)
         # comparisons that NaN fails
         if not (np.all(self.eta_exponents > 1) and np.all(self.zeta_exponents > 1)):
@@ -63,11 +82,10 @@ class MeasureSpec:
         s = level + 2.0
         i = np.arange(truncation)
         j = np.arange(1, truncation + 1)
-        return cls(level=level, truncation=truncation,
-                   eta_exponents=2.0 + s * i,
-                   chi_rates=2.0 * j * s,
-                   zeta_exponents=s * j,
-                   source="su2")
+        with _overflow_is_invalid_level(level):
+            eta, chi, zeta = 2.0 + s * i, 2.0 * j * s, s * j
+        return cls(level=level, truncation=truncation, eta_exponents=eta,
+                   chi_rates=chi, zeta_exponents=zeta, source="su2")
 
     @classmethod
     def from_exponent_table(cls, table, truncation: int) -> "MeasureSpec":
@@ -77,14 +95,12 @@ class MeasureSpec:
         for generic sampling and the A1-consistency check.
         """
         check_count("truncation", truncation, 1)
-        eta = [float(e) for (_, _, e) in table.eta_rows][:truncation]
-        zeta = [float(e) for (_, _, e) in table.zeta_rows][:truncation]
-        chi = [float(r) for (_, r) in table.chi_rates][:truncation]
-        return cls(level=float(table.level), truncation=truncation,
-                   eta_exponents=np.asarray(eta),
-                   chi_rates=2.0 * np.asarray(chi),
-                   zeta_exponents=np.asarray(zeta),
-                   source=f"general:{table.label}")
+        with _overflow_is_invalid_level(float(table.level)):
+            eta = [float(e) for (_, _, e) in table.eta_rows[:truncation]]
+            zeta = [float(e) for (_, _, e) in table.zeta_rows[:truncation]]
+            chi = 2.0 * np.asarray([float(r) for (_, r) in table.chi_rates[:truncation]])
+        return cls(level=float(table.level), truncation=truncation, eta_exponents=eta,
+                   chi_rates=chi, zeta_exponents=zeta, source=f"general:{table.label}")
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ def mc_diagonal_transform(spec: MeasureSpec, lam, n: int, seed: int = 0):
     TransformResult, or a 1-D array, giving a list of them from one set of
     draws; each equals bitwise the scalar call with the same seed.
     """
-    if not spec.source.startswith("su2"):
+    if spec.source != "su2":
         raise InvalidInput("diagonal transform requires an su2 measure spec")
     check_count("n", n, 1)
     check_count("seed", seed, 0)

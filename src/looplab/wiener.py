@@ -3,11 +3,11 @@
 The sampler runs a multiplicative Gaussian walk on the group, pins it into
 a closed loop by a geodesic correction, and projects the grid samples onto
 a band-limited Laurent loop.  The experiments report Kolmogorov-Smirnov
-statistics.  The harness reads the draws it synthesized (the untranslated
-stream, both power-control streams, g itself under an identity map) in
-closed form from their coordinates (OBSERVABLES); h g, g o sigma^-1 and
-walk loops by the Hardy read-outs of rootsub.  The eta_0 self-test's exact
-stream keeps recover_eta0, as that pipeline is what it tests.
+statistics.  The harness reads the draws whose coordinates it holds (the
+untranslated stream, both power-control streams, g under an identity map)
+in closed form (OBSERVABLES), and synthesizes only h g and g o sigma^-1,
+read with the walk loops by the Hardy read-outs of rootsub.  The eta_0
+self-test's exact stream keeps synthesize and recover_eta0, which it tests.
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ __all__ = [
     "InvarianceReport",
 ]
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
-# _su2_log_vector raises within this distance of the branch cut at -I
+# _su2_log gives a NaN row within this distance of the branch cut at -I
 _BRANCH_TOL = 1e-6
 # walks per stacked batch of the walk stream: 256 walks of 257 2x2 complex
 # matrices at the default 256 steps, about 4 MB
@@ -85,19 +79,17 @@ def _su2_exp(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su2_log_vector(g: np.ndarray) -> np.ndarray:
-    """Real 3-vector v with g = exp(i v.sigma); raises near the branch cut."""
-    c = float(np.real(g[0, 0] + g[1, 1]) / 2.0)
-    v = np.array([np.imag(g[0, 1] + g[1, 0]) / 2.0,
-                  np.real(g[0, 1] - g[1, 0]) / 2.0,
-                  np.imag(g[0, 0] - g[1, 1]) / 2.0])
-    s = np.linalg.norm(v)
-    if c < -1.0 + _BRANCH_TOL and s < _BRANCH_TOL:
-        raise LooplabError("endpoint at the branch cut of the group logarithm")
-    theta = float(np.arctan2(s, c))
-    if s < 1e-300:
-        return np.zeros(3)
-    return theta * v / s
+def _su2_log(g: np.ndarray) -> np.ndarray:
+    """Real 3-vectors v with g = exp(i v.sigma) for a stack of SU(2)
+    matrices; a NaN row where g lies within _BRANCH_TOL of the cut at -I."""
+    c = np.real(g[..., 0, 0] + g[..., 1, 1])[..., None] / 2.0
+    v = np.stack([np.imag(g[..., 0, 1] + g[..., 1, 0]) / 2.0,
+                  np.real(g[..., 0, 1] - g[..., 1, 0]) / 2.0,
+                  np.imag(g[..., 0, 0] - g[..., 1, 1]) / 2.0], axis=-1)
+    s = np.sqrt(np.vecdot(v, v))[..., None]
+    out = np.where(s < 1e-300, 0.0, np.arctan2(s, c) * v / np.maximum(s, 1e-300))
+    out[((c < -1.0 + _BRANCH_TOL) & (s < _BRANCH_TOL))[..., 0]] = np.nan
+    return out
 
 
 def _pinned_walks(cfg: WienerConfig, idx) -> np.ndarray:
@@ -118,12 +110,7 @@ def _pinned_walks(cfg: WienerConfig, idx) -> np.ndarray:
     values[:, 0] = np.eye(2)
     for k in range(cfg.steps):
         np.matmul(values[:, k], incs[:, k], out=values[:, k + 1])
-    v_end = np.full((len(xi), 3), np.nan)
-    for j, end in enumerate(values[:, cfg.steps]):
-        try:
-            v_end[j] = _su2_log_vector(end)
-        except LooplabError:
-            pass
+    v_end = _su2_log(values[:, cfg.steps])
     ks = np.arange(cfg.steps + 1) / cfg.steps
     return np.einsum("skab,skbc->skac", values,
                      _su2_exp(-ks[None, :, None] * v_end[:, None, :]))
@@ -277,9 +264,9 @@ def _paired_experiment(spec: MeasureSpec, observable: str, n: int, seed: int,
     loop(g, i) (h g, g o sigma^-1), read by the Hardy solve as its
     coordinates are unknown, or else the coordinates coords(c, i), read in
     closed form (the power control's draw, or c under an identity map).
-    g is read in closed form from c.  Every draw is synthesized, as
-    synthesis decides whether it enters.  The eta_0 self-test keeps its
-    Hardy read-out of exact draws, which it tests."""
+    g is read in closed form from c, and synthesized only for loop(g, i),
+    so a draw synthesis rejects is dropped from the loop streams alone.
+    The eta_0 self-test keeps its Hardy read-out of exact draws."""
     _check_su2_spec("spec", spec)
     if observable not in OBSERVABLES:
         raise InvalidInput(f"unknown observable {observable!r}")
@@ -289,8 +276,8 @@ def _paired_experiment(spec: MeasureSpec, observable: str, n: int, seed: int,
 
     def draw(i):
         c = sample_coords(spec, np.random.default_rng([int(seed), i]))
-        g = synthesize(c)
-        return closed(c), read(loop(g, i)) if loop else closed(coords(c, i))
+        second = read(loop(synthesize(c), i)) if loop else closed(coords(c, i))
+        return closed(c), second
 
     pairs, rate = _collect(n, draw)
     ks, p = _ks_two_sample(*zip(*pairs))
@@ -305,18 +292,15 @@ def invariance_experiment(spec: MeasureSpec, h: LaurentLoop | None,
     """Left-translation invariance check: observable law of g vs h*g.
 
     Passing spec_b (and h=None) runs the power control instead: stream two
-    is sampled from the second measure and must be distinguishable.
+    is sampled from the second measure and must be distinguishable.  Its two
+    streams, like those of h = I, are read from their coordinates unsynthesized.
     """
     if spec_b is not None and h is not None:
         raise InvalidInput("pass a translating loop h or spec_b, not both")
     if spec_b is not None:
         _check_su2_spec("spec_b", spec_b)
-
-        def coords(c, i):
-            cb = sample_coords(spec_b, np.random.default_rng([int(seed), i, 1]))
-            synthesize(cb)   # unread: synthesis decides whether the draw enters
-            return cb
-        return _paired_experiment(spec, observable, n, seed, coords=coords)
+        return _paired_experiment(spec, observable, n, seed, coords=lambda c, i: (
+            sample_coords(spec_b, np.random.default_rng([int(seed), i, 1]))))
     if h is None:
         raise InvalidInput("need a translating loop h (or spec_b)")
     if not isinstance(h, LaurentLoop):

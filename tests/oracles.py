@@ -4,6 +4,7 @@ import numpy as np
 from scipy import stats
 
 from looplab import wiener
+from looplab.errors import LooplabError
 from looplab.loops import LaurentLoop, default_grid_size, evaluate
 
 
@@ -51,10 +52,27 @@ def raw_walk(cfg: wiener.WienerConfig, idx: int) -> np.ndarray:
     return walk
 
 
+def su2_log_vector(g: np.ndarray) -> np.ndarray:
+    """Real 3-vector v with g = exp(i v.sigma) for one SU(2) matrix g, by
+    the arc tangent of its half trace; raises LooplabError within
+    wiener._BRANCH_TOL of the branch cut at -I."""
+    c = float(np.real(g[0, 0] + g[1, 1]) / 2.0)
+    v = np.array([np.imag(g[0, 1] + g[1, 0]) / 2.0,
+                  np.real(g[0, 1] - g[1, 0]) / 2.0,
+                  np.imag(g[0, 0] - g[1, 1]) / 2.0])
+    s = np.linalg.norm(v)
+    if c < -1.0 + wiener._BRANCH_TOL and s < wiener._BRANCH_TOL:
+        raise LooplabError("endpoint at the branch cut of the group logarithm")
+    theta = float(np.arctan2(s, c))
+    if s < 1e-300:
+        return np.zeros(3)
+    return theta * v / s
+
+
 def pinned_walk(cfg: wiener.WienerConfig, idx: int) -> np.ndarray:
     """Walk idx pinned by the geodesic correction, drawn on its own."""
     walk = raw_walk(cfg, idx)
-    v_end = wiener._su2_log_vector(walk[cfg.steps])
+    v_end = su2_log_vector(walk[cfg.steps])
     ks = np.arange(cfg.steps + 1) / cfg.steps
     corr = wiener._su2_exp(-ks[:, None] * v_end[None, :])
     return np.einsum("kab,kbc->kac", walk, corr)

@@ -360,6 +360,19 @@ def test_non_finite_map_or_beta_is_usage_error(capsys, argv):
     assert rc == 1 and out == "" and err.startswith("usage error")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--level", "1e308", "--n", "1", "--truncation", "2"],
+    ["sample", "--general", "A2", "--level", "1e308", "--n", "1",
+     "--truncation", "2"],
+    ["diag", "--level", "1e308", "--n", "10", "--truncation", "2"],
+], ids=["sample", "sample-general", "diag"])
+def test_a_level_that_overflows_the_rates_is_usage_error(capsys, argv):
+    # the suite turns a RuntimeWarning into an error, so none may be printed
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("usage error: level 1e+308 overflows")
+
+
 def test_a_parameter_of_another_mode_is_not_read(capsys):
     rc, out, _ = _run(capsys, ["reparam", "--mode", "identity", "--phi", "inf",
                                "--s", "400", "--n", "4", "--truncation", "4"])

@@ -40,6 +40,33 @@ def test_non_finite_level_rejected(level):
                     chi_rates=[4.0], zeta_exponents=[2.0])
 
 
+@pytest.mark.parametrize("truncation", [1, 2, 24])
+def test_a_level_whose_rates_overflow_is_invalid(truncation):
+    # the chi rate 2 j (l + 2) is the largest entry, and 1e308 overflows it;
+    # the suite turns numpy's overflow RuntimeWarning into an error
+    with pytest.raises(InvalidLevel, match="overflows"):
+        MeasureSpec.su2(1e308, truncation)
+    with pytest.raises(InvalidLevel, match="overflows"):
+        MeasureSpec.from_exponent_table(_a2_table(1e308, 2), min(truncation, 2))
+
+
+def test_a_huge_finite_level_is_not_capped():
+    spec = MeasureSpec.su2(1e300, 2)
+    np.testing.assert_array_equal(spec.chi_rates, [2.0 * (1e300 + 2.0),
+                                                   4.0 * (1e300 + 2.0)])
+    general = MeasureSpec.from_exponent_table(_a2_table(1e300, 2), 2)
+    assert np.isfinite(general.chi_rates).all() and general.level == 1e300
+
+
+@pytest.mark.parametrize("source", [None, 3, "su2-x", "banana"])
+def test_spec_source_is_su2_or_general(source):
+    fields = dict(level=0.0, truncation=1, eta_exponents=[2.0],
+                  chi_rates=[4.0], zeta_exponents=[2.0])
+    with pytest.raises(InvalidInput, match="source must be"):
+        MeasureSpec(**fields, source=source)
+    assert MeasureSpec(**fields, source="general:A2").source == "general:A2"
+
+
 @pytest.mark.parametrize("truncation", [2.5, -3, 0, True])
 def test_su2_truncation_must_be_a_positive_integer(truncation):
     with pytest.raises(InvalidInput):
@@ -50,6 +77,12 @@ def test_nonintegrable_exponent_rejected():
     with pytest.raises(InvalidInput):
         MeasureSpec(level=0.0, truncation=1, eta_exponents=[2.0],
                     chi_rates=[4.0], zeta_exponents=[1.0])
+
+
+def _a2_table(level, horizon):
+    rs = build_root_system("A2")
+    seq = build_periodic_sequence(rs, default_period(rs), horizon)
+    return exponent_table(rs, seq, level, horizon)
 
 
 def _a1_table(horizon):
@@ -69,8 +102,13 @@ def _a1_table(horizon):
     dict(truncation=2),
     dict(eta_exponents=[2.0, 3.0]),
     dict(chi_rates=[[4.0]]),
+    # inf passes the > 1 and > 0 tests
+    dict(eta_exponents=[np.inf]),
+    dict(chi_rates=[np.inf]),
+    dict(zeta_exponents=[np.inf]),
 ], ids=["nan-eta", "nan-zeta", "truncation-0", "truncation-str", "nan-chi",
-        "zero-chi", "negative-chi", "arrays-short", "eta-long", "chi-2d"])
+        "zero-chi", "negative-chi", "arrays-short", "eta-long", "chi-2d",
+        "inf-eta", "inf-chi", "inf-zeta"])
 def test_spec_rejects_bad_fields(kw):
     fields = dict(level=0.0, truncation=1, eta_exponents=[2.0],
                   chi_rates=[4.0], zeta_exponents=[2.0])

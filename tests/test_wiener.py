@@ -23,7 +23,7 @@ from looplab.wiener import (WienerConfig, _collect, _ks_two_sample,
                             eta0_pushforward_experiment, invariance_experiment,
                             reparam_invariance_experiment)
 
-from oracles import ks_two_sample, pinned_walk, raw_walk
+from oracles import ks_two_sample, pinned_walk, raw_walk, su2_log_vector
 
 
 def test_config_validation():
@@ -72,15 +72,50 @@ def test_pinned_walks_match_the_oracle_bitwise():
 
 
 def _branch_cut_at(monkeypatch, endpoints):
-    """Make _su2_log_vector report the branch cut at the given endpoints."""
-    real = wiener._su2_log_vector
+    """Make _su2_log report the branch cut (a NaN row) at the given
+    endpoints."""
+    real = wiener._su2_log
 
-    def log_vector(g):
-        if any(np.array_equal(g, e) for e in endpoints):
-            raise LooplabError("endpoint at the branch cut of the group logarithm")
-        return real(g)
+    def log(g):
+        out = real(g)
+        for j, end in enumerate(g):
+            if any(np.array_equal(end, e) for e in endpoints):
+                out[j] = np.nan
+        return out
 
-    monkeypatch.setattr(wiener, "_su2_log_vector", log_vector)
+    monkeypatch.setattr(wiener, "_su2_log", log)
+
+
+def _su2_stack(n, seed):
+    """n SU(2) matrices exp(i v.sigma), |v| spread over [0, pi)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, 3))
+    v *= (np.pi * rng.random(n) / np.linalg.norm(v, axis=-1))[:, None]
+    return wiener._su2_exp(v)
+
+
+def test_stacked_log_matches_the_per_matrix_log_bitwise():
+    g = np.concatenate([_su2_stack(500, 4), [np.diag([1j, -1j])]])
+    out = wiener._su2_log(g)
+    assert out.shape == (501, 3)
+    for j in range(501):
+        assert out[j].tobytes() == su2_log_vector(g[j]).tobytes()
+    # a 2-D stack keeps its leading axes
+    assert wiener._su2_log(g[:500].reshape(25, 20, 2, 2)).tobytes() == out[:500].tobytes()
+
+
+def test_stacked_log_is_nan_at_the_branch_cut_and_zero_at_the_identity():
+    near = wiener._su2_exp(np.array([0.0, 0.0, np.pi - 1e-7]))
+    assert abs(near + np.eye(2)).max() < 2e-7
+    g = np.stack([-np.eye(2, dtype=complex), near, np.eye(2, dtype=complex),
+                  _su2_stack(1, 8)[0]])
+    for cut in g[:2]:
+        with pytest.raises(LooplabError, match="branch cut"):
+            su2_log_vector(cut)
+    out = wiener._su2_log(g)
+    assert np.isnan(out[:2]).all()
+    assert out[2].tobytes() == np.zeros(3).tobytes()
+    assert out[3].tobytes() == su2_log_vector(g[3]).tobytes()
 
 
 def test_branch_cut_hit_redraws_only_that_sample(monkeypatch):
@@ -224,6 +259,63 @@ def test_power_control_rejects():
     rep = invariance_experiment(spec, None, "a0", 300, seed=9,
                                 spec_b=spec_b)
     assert rep.pvalue < 0.01
+
+
+def _closed_form_runs():
+    """The runs whose two streams are both read from their coordinates: the
+    power control and the two identity modes."""
+    spec = MeasureSpec.su2(0.0, 12)
+    return {
+        "power": lambda: invariance_experiment(
+            spec, None, "a0", 40, seed=9, spec_b=MeasureSpec.su2(2.0, 12)),
+        "identity": lambda: invariance_experiment(
+            spec, from_coeff_dict({0: np.eye(2)}), "abs_zeta1", 40, seed=9),
+        "reparam-identity": lambda: reparam_invariance_experiment(
+            spec, 1.0, 0.0, "abs_eta0", 40, seed=9),
+    }
+
+
+def _translate_run():
+    c, sn = np.cos(0.8), np.sin(0.8)
+    h = from_coeff_dict({0: np.array([[c, sn], [-sn, c]], dtype=complex)})
+    return invariance_experiment(MeasureSpec.su2(0.0, 12), h, "a0", 6, seed=9)
+
+
+def _synthesis_fails(monkeypatch):
+    def synthesize(c):
+        raise ConvergenceFailure("synthesis rejects every draw")
+    monkeypatch.setattr(wiener, "synthesize", synthesize)
+
+
+@pytest.mark.parametrize("name", sorted(_closed_form_runs()))
+def test_closed_form_streams_are_not_synthesized(monkeypatch, name):
+    # a synthesis that rejects every draw leaves these runs as they were
+    run = _closed_form_runs()[name]
+    clean = run()
+    _synthesis_fails(monkeypatch)
+    rep = run()
+    assert rep == clean and rep.n_effective == 40 and rep.failure_rate == 0.0
+
+
+def test_translation_drops_every_draw_synthesis_rejects(monkeypatch):
+    _synthesis_fails(monkeypatch)
+    with pytest.raises(ExperimentDegenerate, match="failure rate 1.00"):
+        _translate_run()
+
+
+def test_only_the_loop_streams_call_synthesize(monkeypatch):
+    calls, real = [], wiener.synthesize
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(wiener, "synthesize", counted)
+    assert _translate_run().n_effective == 6
+    assert len(calls) == 6
+    for run in _closed_form_runs().values():
+        run()
+    assert len(calls) == 6
 
 
 def test_invariance_zero_samples_rejected():
