@@ -3,8 +3,8 @@ the exponent tables feeding the general product measure.
 
 Everything here is exact: roots and coroots are integer vectors in the
 simple-root and simple-coroot bases, the affine Weyl group acts on roots
-through integer matrices, and pairings are integers; points are Fractions,
-and no floating point enters.
+and on points through the same integer matrices, and pairings are integers;
+points are Fractions, and no floating point enters.
 """
 
 from __future__ import annotations
@@ -212,6 +212,9 @@ def affine_weyl_apply(rs: RootSystem, word, x):
     to a point x of the affine slice, given by its values (alpha_i(x))_i.
 
     r_i (i >= 1) reflects in the wall alpha_i = 0; r_0 reflects in theta = 1.
+    The affine root f = (q, beta) takes the value f . v(x) at x, with
+    v(x) = (1, alpha_1(x), ..., alpha_r(x)); f(r_i x) = (r_i f)(x) gives
+    v(r_i x) = R_i^T v(x) for the root action R_i = rs.reflections[i].
     """
     word = list(word)
     for i in word:
@@ -222,18 +225,10 @@ def affine_weyl_apply(rs: RootSystem, word, x):
         raise InvalidInput(f"point must have rational values, got {x!r}") from exc
     if len(x) != rs.rank:
         raise InvalidInput(f"point needs {rs.rank} simple-root values, got {len(x)}")
+    v = np.array((Fraction(1), *x), dtype=object)
     for i in reversed(word):
-        x = _point_reflect(rs, i, x)
-    return x
-
-
-def _point_reflect(rs: RootSystem, i: int, x):
-    if i >= 1:
-        # (alpha_j(h_{i-1}))_j is Cartan row i-1
-        xi = x[i - 1]
-        return tuple(v - xi * a for v, a in zip(x, rs.cartan[i - 1]))
-    shift = 1 - sum(t * v for t, v in zip(rs.theta, x))
-    return tuple(v + shift * t for v, t in zip(x, rs.theta_vee))
+        v = rs.reflections[i].T @ v
+    return tuple(v[1:])
 
 
 @dataclass(frozen=True)
@@ -248,8 +243,7 @@ class ReducedSequence:
 
     def index(self, n: int) -> int:
         """The n-th letter (1-based)."""
-        if n < 1:
-            raise InvalidInput("letters are indexed from 1")
+        check_count("letter index", n, 1)
         if n <= len(self.prefix):
             return self.prefix[n - 1]
         L = self.period_length
@@ -257,6 +251,7 @@ class ReducedSequence:
         return self.prefix[base + (n - 1 - base) % L]
 
     def word(self, n: int) -> tuple:
+        check_count("word length", n, 0)
         return tuple(self.index(m) for m in range(1, n + 1))
 
 

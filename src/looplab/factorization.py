@@ -3,7 +3,8 @@
 Implements the Riemann-Hilbert splitting g = g_minus * g0 * g_plus for
 banded loops with zero winding, the 2x2 LDU refinement, and the determinant
 route to the positive diagonal a0.  hardy_columns is the one place a finite
-section is factored for Hardy columns (of g, and of star(g) on the same LU).
+section is factored for Hardy columns: of g, for g_minus, and of star(g) on
+the same LU, for g_plus.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zgesv, zgetrs
 
 from .errors import ConvergenceFailure, InvalidInput, NotInTopStratum, check_count
-from .loops import LaurentLoop, default_grid_size
+from .loops import LaurentLoop, default_grid_size, star
 
 __all__ = [
     "ToeplitzBlock",
@@ -144,39 +144,39 @@ def birkhoff_factor(g: LaurentLoop, M: int):
     """Riemann-Hilbert splitting g = g_minus * g0 * g_plus.
 
     g_minus is a series in 1/z with value I at infinity, g_plus a series in z
-    with value I at 0, g0 a constant matrix.  Factors are truncated at M modes
-    and the max-grid residual of the product is reported.
+    with value I at 0, g0 a constant matrix, all from one LU of T_M(g):
+    g_minus spans [max(n_min, -M), 0] and g_plus [0, min(n_max, M)].
 
-    Raises ConvergenceFailure if the truncated system is singular or the
-    residual exceeds _RESIDUAL_TOL.
+    Returns them with the max-grid residual of the product.  Raises
+    ConvergenceFailure if the section is singular or that exceeds _RESIDUAL_TOL.
     """
     check_count("M", M, 0)    # M=None would be hardy_columns' converged cutoff
-    d = g.dim
-    X = hardy_columns(g, M)[0]
+    X, star_columns = hardy_columns(g, M)
     # X holds the power-series coefficients of h = (g0 g_plus)^{-1}; g h = g_minus
-    h0 = X[0]
-    if abs(np.linalg.det(h0)) < 1e-300:
+    if abs(np.linalg.det(X[0])) < 1e-300:
         raise ConvergenceFailure("constant term of the Hardy solve is singular")
-    g0 = np.linalg.inv(h0)
-    # g_plus = (h g0)^{-1}: one block lower-triangular Toeplitz solve, as the
-    # series s = h g0 has unit constant term
-    S = toeplitz(LaurentLoop(d, 0, M, X @ g0), M).matrix
-    gp = solve_triangular(S, np.eye(S.shape[0], d), lower=True,
-                          unit_diagonal=True)
-    g_plus = LaurentLoop(d, 0, M, gp.reshape(M + 1, d, d))
-    # g_minus = g h mod z: mode lo+i is sum_j c_{lo+i-j} X_j, one GEMM of the
-    # block Hankel section H[i] = (c_{lo-M+i} .. c_{lo+i}) with X_M .. X_0 stacked
-    lo = max(g.n_min, -M)
-    R = np.ascontiguousarray(g.with_band(lo - M, 0).coeffs.transpose(1, 0, 2))
-    H = np.lib.stride_tricks.sliding_window_view(R, M + 1, axis=1)
-    gm = H.transpose(1, 0, 3, 2).reshape(-1, (M + 1) * d) @ X[::-1].reshape(-1, d)
-    g_minus = LaurentLoop(d, lo, 0, gm.reshape(-1, d, d))
+    g0 = np.linalg.inv(X[0])
+    g_minus = _minus_part(g, X)
+    # star(g) = star(g_plus) g0^dagger star(g_minus) is star(g)'s splitting:
+    # star(g_plus) is its minus factor, read off the adjoint solve on that LU
+    g_plus = star(_minus_part(star(g), star_columns()))
     res = _product_residual(g, g_minus, g0, g_plus)
     if not np.isfinite(res) or res > _RESIDUAL_TOL:
         raise ConvergenceFailure(
             f"factorization residual {res:.3e} exceeds tol {_RESIDUAL_TOL:.1e} "
             "(not in the top stratum, or cutoff M too small)")
     return g_minus, g0, g_plus, res
+
+
+def _minus_part(g: LaurentLoop, X: np.ndarray) -> LaurentLoop:
+    """g h mod z, h = sum_j X_j z^j: mode lo+i is sum_j c_{lo+i-j} X_j, one
+    GEMM of the block Hankel section (c_{lo-M+i} .. c_{lo+i}) with X_M .. X_0."""
+    d, M = g.dim, X.shape[0] - 1
+    lo = max(g.n_min, -M)
+    R = np.ascontiguousarray(g.with_band(lo - M, 0).coeffs.transpose(1, 0, 2))
+    H = np.lib.stride_tricks.sliding_window_view(R, M + 1, axis=1)
+    gm = H.transpose(1, 0, 3, 2).reshape(-1, (M + 1) * d) @ X[::-1].reshape(-1, d)
+    return LaurentLoop(d, lo, 0, gm.reshape(-1, d, d))
 
 
 def _product_residual(g, g_minus, g0, g_plus) -> float:

@@ -44,13 +44,8 @@ class LaurentLoop:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # the band n_min <= 0 <= n_max, of integers, and a positive dim
         check_count("dim", self.dim, 1)
-        check_count("n_max", self.n_max, 0)
-        if isinstance(self.n_min, bool) or not isinstance(self.n_min, numbers.Integral):
-            raise InvalidInput("-n_min must be an integer >= 0, got "
-                               f"n_min = {self.n_min!r}")
-        check_count("-n_min", -self.n_min, 0)
+        _check_band(self.n_min, self.n_max)
         # an ndarray is kept as the same object; nested lists become one
         try:
             object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
@@ -69,6 +64,8 @@ class LaurentLoop:
 
     def coeff(self, n: int) -> np.ndarray:
         """Coefficient of z^n (zero outside the band)."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise InvalidInput(f"mode must be an integer, got {n!r}")
         if n < self.n_min or n > self.n_max:
             return np.zeros((self.dim, self.dim), dtype=complex)
         return self.coeffs[n - self.n_min]
@@ -92,14 +89,21 @@ class LaurentLoop:
 
     def with_band(self, n_min: int, n_max: int) -> "LaurentLoop":
         """Re-embed into the band [n_min, n_max], truncating or zero-padding."""
-        if n_min > 0 or n_max < 0:
-            raise InvalidInput("band must contain 0")
+        _check_band(n_min, n_max)
         out = np.zeros((n_max - n_min + 1, self.dim, self.dim), dtype=complex)
         lo = max(n_min, self.n_min)
         hi = min(n_max, self.n_max)
         if lo <= hi:
             out[lo - n_min:hi - n_min + 1] = self.coeffs[lo - self.n_min:hi - self.n_min + 1]
         return LaurentLoop(self.dim, n_min, n_max, out)
+
+
+def _check_band(n_min, n_max) -> None:
+    """Raise InvalidInput unless n_min <= 0 <= n_max are integers."""
+    check_count("n_max", n_max, 0)
+    if isinstance(n_min, bool) or not isinstance(n_min, numbers.Integral):
+        raise InvalidInput(f"-n_min must be an integer >= 0, got n_min = {n_min!r}")
+    check_count("-n_min", -n_min, 0)
 
 
 def identity_loop(dim: int = 2) -> LaurentLoop:

@@ -257,6 +257,8 @@ def _peel(lead: np.ndarray, tail: np.ndarray, indices) -> np.ndarray:
 
 
 def _check_su2(g: LaurentLoop) -> None:
+    if not isinstance(g, LaurentLoop):
+        raise InvalidInput(f"SU(2) coordinates need a loop, got {type(g).__name__}")
     if g.dim != 2:
         raise InvalidInput(f"SU(2) coordinates need a 2x2 loop, got dim {g.dim}")
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from looplab import wiener
 from looplab.errors import LooplabError
+from looplab.factorization import hardy_columns, toeplitz
 from looplab.loops import LaurentLoop, default_grid_size, evaluate
 
 
@@ -27,6 +29,18 @@ def evaluate_at(g: LaurentLoop, z: np.ndarray) -> np.ndarray:
         neg *= zi[..., None, None]
         vals += neg
     return vals
+
+
+def birkhoff_g_plus(g: LaurentLoop, M: int) -> LaurentLoop:
+    """g_plus of the splitting at cutoff M as the inverse of the series
+    s = h g0, h the Hardy series of g and g0 = h_0^-1: one block
+    lower-triangular Toeplitz solve of a second section, cut at M modes."""
+    d = g.dim
+    X = hardy_columns(g, M)[0]
+    S = toeplitz(LaurentLoop(d, 0, M, X @ np.linalg.inv(X[0])), M).matrix
+    gp = solve_triangular(S, np.eye(S.shape[0], d), lower=True,
+                          unit_diagonal=True)
+    return LaurentLoop(d, 0, M, gp.reshape(M + 1, d, d))
 
 
 def product_residual(g, g_minus, g0, g_plus) -> float:

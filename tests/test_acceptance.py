@@ -3,10 +3,12 @@
 Gates A1-A6 check identities that hold exactly (up to numerics).  A7
 certifies Kakutani's criterion: it brackets the Hellinger^2 series S(inf) of
 the measure against its Gaussian background to within 1e-3, using an analytic
-tail bound.  B1 and B2 are Monte Carlo conjecture-checks.  The B1 walk
-statistic and the B2 translation/reparameterization p-values are reported
-rather than asserted; their harness self-tests (exact-sampler KS, power check,
-rotation equality) are asserted.
+tail bound.  A8 ties the exponent tables of every root system type to the
+general sine formula through the 1/H rate of their truncated products.  B1
+and B2 are Monte Carlo conjecture-checks.  The B1 walk statistic and the B2
+translation/reparameterization p-values are reported rather than asserted;
+their harness self-tests (exact-sampler KS, power check, rotation equality)
+are asserted.
 """
 
 import time
@@ -23,9 +25,9 @@ from looplab.factorization import (a0_from_dets, birkhoff_factor,
 from looplab.measures import MeasureSpec, hellinger_vs_gaussian
 from looplab.rootsub import (coords_max_error, log_product_formula,
                              random_coords, recover_coords, synthesize)
-from looplab.transforms import (finite_hc_check, marginal_factor,
-                                mc_diagonal_transform, partial_product,
-                                sine_formula_su2)
+from looplab.transforms import (finite_hc_check, general_sine_formula,
+                                marginal_factor, mc_diagonal_transform,
+                                partial_product, sine_formula_su2)
 from looplab.wiener import (WienerConfig, eta0_pushforward_experiment,
                             invariance_experiment,
                             reparam_invariance_experiment)
@@ -243,6 +245,56 @@ def test_A7_equivalence_diagnostic():
             + f"; decay pin {worst_pin:.3f} (gate 0.3), {dt:.1f}s")
     assert worst_T < 1e-3
     assert worst_pin <= 0.3
+    assert dt < 10
+
+
+A8_TYPES = ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D4", "C4", "F4",
+            "E6", "E7", "E8")
+
+
+def _table_product(rs, lam, level, H):
+    """Product of the marginal factors of the table at horizon H:
+    (p-1)/(p-1-iL) over the eta rows with q < H and (p-1)/(p-1+iL) over all
+    zeta rows, L = <lam, beta>/<beta, beta> for the row's root beta."""
+    seq = build_periodic_sequence(rs, default_period(rs), H)
+    table = exponent_table(rs, seq, level, H)
+    L = {b: float(rs.inner(lam, b) / rs.inner(b, b)) for b in rs.positive_roots}
+    out = 1.0 + 0.0j
+    for q, beta, p in table.eta_rows:
+        if q < H:
+            out *= float(p - 1) / (float(p - 1) - 1j * L[beta])
+    for _, beta, p in table.zeta_rows:
+        out *= float(p - 1) / (float(p - 1) + 1j * L[beta])
+    return out
+
+
+def test_A8_exponent_tables_meet_the_general_sine_formula():
+    # With p - 1 = (l+g)q -+ R_beta the table product P(H) is a ratio of
+    # Gamma products; by the reflection formula it tends to the sine formula
+    # at rate 1/H, so err(32)/err(16) -> 1/2 and the Richardson value
+    # 2 P(32) - P(16) cancels the 1/H term.  A wrong exponent, root or
+    # pairing convention leaves an O(1) gap and a ratio near 1.  Bounds from
+    # the measured margins at l = 5/2 and these seeds: the ratio lies in
+    # [0.4934, 0.5001] (gate [0.49, 0.51]) and the gap is at most 9.9e-6, on
+    # G2 (gate 2e-5).
+    t0 = time.time()
+    level = Fraction(5, 2)
+    ratios, gaps = [], []
+    for k, label in enumerate(A8_TYPES):
+        rs = build_root_system(label)
+        rng = np.random.default_rng([41, k])
+        lam = tuple(Fraction(int(v), 8) for v in rng.integers(-16, 17, rs.rank))
+        f = general_sine_formula(rs, float(level), [float(v) for v in lam])
+        p16, p32 = (_table_product(rs, lam, level, H) for H in (16, 32))
+        ratios.append(abs(p32 - f) / abs(p16 - f))
+        gaps.append(abs(2 * p32 - p16 - f))
+    dt = time.time() - t0
+    ok = all(0.49 <= r <= 0.51 for r in ratios) and max(gaps) <= 2e-5 and dt < 10
+    _report("A8", ok, f"{len(A8_TYPES)} types, err ratio in "
+                      f"[{min(ratios):.4f}, {max(ratios):.4f}], Richardson gap "
+                      f"{max(gaps):.2e}, {dt:.1f}s")
+    assert all(0.49 <= r <= 0.51 for r in ratios)
+    assert max(gaps) <= 2e-5
     assert dt < 10
 
 

@@ -1,13 +1,14 @@
 """Non-numeric input is a LooplabError at the public boundary."""
 
+import numpy as np
 import pytest
 
 from looplab.affine import (build_periodic_sequence, build_root_system,
                             default_period, exponent_table)
 from looplab.errors import InvalidInput, InvalidLevel, check_level
-from looplab.loops import loop_from_json
+from looplab.loops import identity_loop, loop_from_json
 from looplab.measures import MeasureSpec
-from looplab.rootsub import RootCoordsSU2
+from looplab.rootsub import RootCoordsSU2, recover_coords, recover_eta0
 
 
 def _a1_word():
@@ -30,9 +31,18 @@ def _a1_word():
         '{"dim": true, "n_min": 0, "n_max": 0, "coeffs": [[[1, 0]]]}'), InvalidInput),
     (lambda: loop_from_json(
         '{"dim": 1, "n_min": false, "n_max": 0, "coeffs": [[[1, 0]]]}'), InvalidInput),
+    (lambda: identity_loop().coeff(0.5), InvalidInput),
+    (lambda: identity_loop().with_band(-1.5, 2), InvalidInput),
+    (lambda: _a1_word()[1].index(1.5), InvalidInput),
+    (lambda: _a1_word()[1].index(True), InvalidInput),
+    (lambda: _a1_word()[1].word(2.5), InvalidInput),
+    (lambda: recover_coords(np.eye(2)), InvalidInput),
+    (lambda: recover_eta0(np.eye(2)), InvalidInput),
 ], ids=["level-str", "level-none", "level-complex", "su2-level-str",
         "table-level-str", "chi0-str", "eta-str", "chi-none", "eta-2d",
-        "zeta-scalar", "json-dim-bool", "json-n_min-bool"])
+        "zeta-scalar", "json-dim-bool", "json-n_min-bool", "coeff-float-mode",
+        "with_band-float", "index-float", "index-bool", "word-float",
+        "recover_coords-array", "recover_eta0-array"])
 def test_non_numeric_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

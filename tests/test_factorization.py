@@ -12,7 +12,7 @@ from looplab.loops import (LaurentLoop, evaluate, from_coeff_dict,
 from looplab.measures import MeasureSpec, sample_coords
 from looplab.rootsub import (RootCoordsSU2, log_product_formula, random_coords,
                              recover_coords, recover_eta0, synthesize)
-from oracles import product_residual
+from oracles import birkhoff_g_plus, product_residual
 
 E = np.array([], dtype=complex)
 
@@ -126,10 +126,8 @@ def test_zero_loop_factorization_raises():
         recover_coords(g)
 
 
-def test_converged_cutoff_grows_by_the_quarter_rule_up_to_the_cap(monkeypatch):
-    # X = (I - 0.999 z)^-1 = sum 0.999^n z^n misses the indicator at every
-    # cutoff: M runs from the floor 8 by max(M + 1, ceil(1.25 M)) to the cap
-    # 4 max(band, 16) = 64, each section built once
+def _record_sections(monkeypatch):
+    """The cutoffs of the sections factorization builds, in order."""
     cutoffs = []
     build = factorization.toeplitz
 
@@ -138,6 +136,14 @@ def test_converged_cutoff_grows_by_the_quarter_rule_up_to_the_cap(monkeypatch):
         return build(g, M, shifted)
 
     monkeypatch.setattr(factorization, "toeplitz", recorded)
+    return cutoffs
+
+
+def test_converged_cutoff_grows_by_the_quarter_rule_up_to_the_cap(monkeypatch):
+    # X = (I - 0.999 z)^-1 = sum 0.999^n z^n misses the indicator at every
+    # cutoff: M runs from the floor 8 by max(M + 1, ceil(1.25 M)) to the cap
+    # 4 max(band, 16) = 64, each section built once
+    cutoffs = _record_sections(monkeypatch)
     g = from_coeff_dict({0: np.eye(2), 1: -0.999 * np.eye(2)})
     with pytest.raises(ConvergenceFailure, match="cap M = 64"):
         hardy_columns(g)
@@ -272,6 +278,45 @@ def _synthesized_draws(n):
         c = random_coords(np.random.default_rng([31, i]), (0.0, 1.0, 3.5)[i % 3])
         g = synthesize(c)
         yield c, g, max(64, g.band_width)
+
+
+def _measure_draws(truncation, n):
+    for i in range(n):
+        c = sample_coords(MeasureSpec.su2(0.0, truncation),
+                          np.random.default_rng([truncation, i]))
+        g = synthesize(c)
+        yield c, g, max(64, g.band_width)
+
+
+@pytest.mark.parametrize("draws, within_residual", [
+    (lambda: _synthesized_draws(24), False), (lambda: _measure_draws(12, 10), True),
+    (lambda: _measure_draws(24, 10), True)], ids=["sparse", "measure-12", "measure-24"])
+def test_g_plus_is_the_triangular_solve_route(draws, within_residual, monkeypatch):
+    # g_plus from the adjoint Hardy solve against the inverse of the series
+    # h g0 by a second section.  Sparse draws agree to 1e-12 (measured
+    # 2.1e-14).  On the measure's draws the oracle's own product residual is
+    # larger, and the routes agree within it (measured 0.27 and 0.16 of it)
+    sections = _record_sections(monkeypatch)
+    for _, g, M in draws():
+        sections.clear()
+        gm, g0, gp, _ = birkhoff_factor(g, M)
+        assert sections == [M]      # one section, one LU
+        ref = birkhoff_g_plus(g, M)
+        assert (gp.n_min, gp.n_max) == (0, min(g.n_max, M))
+        assert np.abs(gp.coeff(0) - np.eye(2)).max() <= 1e-14
+        diff = np.abs(ref.coeffs - gp.with_band(0, M).coeffs).max()
+        bound = product_residual(g, gm, g0, ref) if within_residual else 1e-12
+        assert diff <= bound
+
+
+@pytest.mark.parametrize("M", [0, 2, 4, 5, 8])
+def test_g_plus_band_is_cut_at_the_cutoff(M, monkeypatch):
+    # on band [-3, 5] the cutoffs 0, 2 and 4 cut g_plus, 5 and 8 do not
+    monkeypatch.setattr(factorization, "_RESIDUAL_TOL", np.inf)
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+    gm, _, gp, _ = birkhoff_factor(LaurentLoop(2, -3, 5, c), M)
+    assert (gm.n_min, gm.n_max, gp.n_min, gp.n_max) == (-min(3, M), 0, 0, min(5, M))
 
 
 def test_product_residual_matches_the_evaluate_oracle():
